@@ -19,7 +19,6 @@ from .core import (
     bloch_from_qubit,
     collapse,
     evolve_hamiltonian,
-    evolve_piecewise,
     observable_expectation,
     outcome_probabilities,
     qubit_from_bloch,
@@ -50,7 +49,6 @@ from .noise import (
     inject_state_noise,
     linear_term,
     measurement_residue,
-    taylor_partial_sum,
 )
 from .pipeline import ExperimentConfig, RunReport, run_pipeline, run_repr_compare
 from .tolerances import TOL, Tolerances

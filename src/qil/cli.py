@@ -7,18 +7,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .metrics import matrix_report_json, write_grid_csv
 from .noise import StateNoiseConfig
 from .pipeline import (
     ExperimentConfig,
     TomographySettings,
+    register_cap,
     run_budget_report,
     run_pipeline,
     run_repr_compare,
     run_tomography_experiment,
     _load_image,
+    _stage_seeds,
 )
 from .tomography import format_record, purity
 
@@ -77,9 +77,10 @@ def _cmd_run(args) -> int:
     if args.noise_mag > 0.0:
         # streams 0/1 of the master seed are reserved for noise injection
         stream = 0 if args.noise_mode == "classical" else 1
-        derived = int(np.random.SeedSequence(args.seed).generate_state(4)[stream])
         noise = StateNoiseConfig(
-            mode=_NOISE_MODES[args.noise_mode], magnitude=args.noise_mag, rng_seed=derived
+            mode=_NOISE_MODES[args.noise_mode],
+            magnitude=args.noise_mag,
+            rng_seed=_stage_seeds(args.seed)[stream],
         )
     tomo = None
     if args.tomo_qubits is not None:
@@ -138,7 +139,7 @@ def _cmd_tomography(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     img = _load_image(args.image, args.q)
     est, ideal, report = run_tomography_experiment(
-        args.repr, img, args.qubits, args.shots, args.seed
+        args.repr, img, args.qubits, args.shots, args.seed, register_cap()
     )
     write_grid_csv(est.entries.real, out / "tomo_real.csv")
     write_grid_csv(est.entries.imag, out / "tomo_imag.csv")
@@ -158,14 +159,18 @@ def _cmd_tomography(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "compare": _cmd_compare,
         "budget": _cmd_budget,
         "tomography": _cmd_tomography,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OSError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -219,19 +219,45 @@ class MeasurementSet:
         return len(self.operators)
 
     @staticmethod
-    def cbs(num_qubits: int) -> "MeasurementSet":
+    def cbs(num_qubits: int) -> "BasisMeasurement":
         return _cbs_measurement_set(num_qubits)
 
 
+@dataclass(frozen=True)
+class BasisMeasurement:
+    """Computational-basis measurement of ``num_qubits`` qubits, held by its diagonal.
+
+    Outcome m is the projector |m><m|, so p(m) = |psi_m|^2 and the collapse
+    keeps amplitude m alone. The measurement functions use that directly;
+    the dense projectors in ``operators`` are built only when read.
+    """
+
+    num_qubits: int
+
+    def __post_init__(self):
+        if self.num_qubits < 0:
+            raise ValueError("num_qubits must be nonnegative")
+
+    @property
+    def dim(self) -> int:
+        return 2**self.num_qubits
+
+    def __len__(self) -> int:
+        return self.dim
+
+    @cached_property
+    def operators(self) -> tuple[MeasurementOperator, ...]:
+        ops = []
+        for m in range(self.dim):
+            mat = np.zeros((self.dim, self.dim), dtype=complex)
+            mat[m, m] = 1.0
+            ops.append(MeasurementOperator(index=m, matrix=mat))
+        return tuple(ops)
+
+
 @lru_cache(maxsize=None)
-def _cbs_measurement_set(num_qubits: int) -> MeasurementSet:
-    dim = 2**num_qubits
-    ops = []
-    for m in range(dim):
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[m, m] = 1.0
-        ops.append(MeasurementOperator(index=m, matrix=mat))
-    return MeasurementSet(operators=tuple(ops))
+def _cbs_measurement_set(num_qubits: int) -> BasisMeasurement:
+    return BasisMeasurement(num_qubits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +265,7 @@ class Observable:
     """Nonnegative outcome values attached one-to-one to a measurement set."""
 
     eigenvalues: tuple[float, ...]
-    set: MeasurementSet
+    set: MeasurementSet | BasisMeasurement
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
@@ -322,29 +348,23 @@ def evolve_hamiltonian(h: Hamiltonian, t: float) -> UnitaryMatrix:
     return UnitaryMatrix((vectors * phases) @ vectors.conj().T)
 
 
-def evolve_piecewise(segments: Sequence[tuple[Hamiltonian, float]]) -> UnitaryMatrix:
-    """Compose piecewise-constant evolution segments, first segment acting first.
-
-    This is the supported route for time-dependent generators: hold the
-    generator constant on each interval and multiply the propagators.
-    """
-    if not segments:
-        raise ValueError("need at least one (Hamiltonian, duration) segment")
-    u = np.eye(segments[0][0].dim, dtype=complex)
-    for h, t in segments:
-        u = evolve_hamiltonian(h, t).entries @ u
-    return UnitaryMatrix(u)
+def _outcome_weights(mset: MeasurementSet | BasisMeasurement, s: StateVector) -> np.ndarray:
+    """<psi| M_m^dag M_m |psi> per outcome; |psi_m|^2 for a basis measurement."""
+    if isinstance(mset, BasisMeasurement):
+        return born_probabilities(s)
+    psi = s.amplitudes
+    return np.array(
+        [np.vdot(psi, op.matrix.conj().T @ (op.matrix @ psi)).real for op in mset.operators]
+    )
 
 
-def outcome_probabilities(mset: MeasurementSet, s: StateVector) -> OutcomeDistribution:
+def outcome_probabilities(
+    mset: MeasurementSet | BasisMeasurement, s: StateVector
+) -> OutcomeDistribution:
     """Born probabilities p(m) = <psi| M_m^dag M_m |psi> for every outcome."""
     if mset.dim != s.dim:
         raise ValueError(f"measurement dim {mset.dim} does not match register dim {s.dim}")
-    psi = s.amplitudes
-    probs = np.array(
-        [np.vdot(psi, op.matrix.conj().T @ (op.matrix @ psi)).real for op in mset.operators]
-    )
-    return OutcomeDistribution(probabilities=probs)
+    return OutcomeDistribution(probabilities=_outcome_weights(mset, s))
 
 
 def collapse(op: MeasurementOperator, s: StateVector) -> StateVector:
@@ -367,8 +387,19 @@ def collapse(op: MeasurementOperator, s: StateVector) -> StateVector:
     return StateVector(num_qubits=s.num_qubits, amplitudes=projected / math.sqrt(prob))
 
 
+def _draw_counts(p: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes of nonzero probability and their counts over ``shots`` draws.
+
+    The one sampler behind single measurements and shot histograms: ``p`` is
+    normalised, restricted to its support and drawn as one multinomial.
+    """
+    p = p / p.sum()
+    support = np.flatnonzero(p > 0)
+    return support, np.random.default_rng(seed).multinomial(shots, p[support])
+
+
 def sample_measurement(
-    mset: MeasurementSet, s: StateVector, rng_seed: int
+    mset: MeasurementSet | BasisMeasurement, s: StateVector, rng_seed: int
 ) -> tuple[int, StateVector]:
     """Draw one outcome from the Born distribution and collapse accordingly.
 
@@ -376,9 +407,12 @@ def sample_measurement(
     callers must use distinct seeds to stay reproducible.
     """
     dist = outcome_probabilities(mset, s)
-    rng = np.random.default_rng(rng_seed)
-    p = dist.probabilities / dist.probabilities.sum()
-    outcome = int(rng.choice(len(p), p=p))
+    support, drawn = _draw_counts(dist.probabilities, 1, rng_seed)
+    outcome = int(support[drawn.argmax()])
+    if isinstance(mset, BasisMeasurement):
+        amps = np.zeros(s.dim, dtype=complex)
+        amps[outcome] = s.amplitudes[outcome] / abs(s.amplitudes[outcome])
+        return outcome, StateVector(num_qubits=s.num_qubits, amplitudes=amps)
     return outcome, collapse(mset.operators[outcome], s)
 
 
@@ -392,13 +426,8 @@ def observable_expectation(obs: Observable, s: StateVector, power: int = 1) -> f
         raise ValueError(f"power must be a positive integer, got {power}")
     if obs.set.dim != s.dim:
         raise ValueError("observable dimension does not match the register")
-    psi = s.amplitudes
-    return float(
-        sum(
-            (lam**power) * np.vdot(psi, op.matrix @ psi).real
-            for lam, op in zip(obs.eigenvalues, obs.set.operators)
-        )
-    )
+    lam = np.array(obs.eigenvalues)
+    return float(np.dot(lam**power, _outcome_weights(obs.set, s)))
 
 
 def born_probabilities(s: StateVector) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, born_probabilities
+from .core import StateVector, _draw_counts, born_probabilities
 from .images import BinaryImage, GrayImage
 from .tolerances import TOL
 
@@ -81,7 +81,7 @@ class NeqrState:
         amps = self.state.amplitudes
         weight = 1.0 / 2**self.n
         nonzero = amps[np.abs(amps) > TOL.encoder_norm]
-        if len(nonzero) != 4**self.n or np.abs(nonzero - weight).max() > 1e-9:
+        if len(nonzero) != 4**self.n or np.abs(nonzero - weight).max() > TOL.neqr_weight:
             raise NotNeqrStateError(
                 "register amplitudes do not form one uniformly weighted code per position"
             )
@@ -143,22 +143,9 @@ def sample_histogram(s: StateVector, shots: int, seed: int) -> ShotHistogram:
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    p = born_probabilities(s)
-    p = p / p.sum()
-    support = np.flatnonzero(p > 0)
-    rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, p[support])
+    support, drawn = _draw_counts(born_probabilities(s), shots, seed)
     counts = {int(idx): int(c) for idx, c in zip(support, drawn) if c > 0}
     return ShotHistogram(counts=counts, total=shots)
-
-
-def merge_histograms(*hists: ShotHistogram) -> ShotHistogram:
-    """Order-independent merge of per-worker histograms."""
-    counts: dict[int, int] = {}
-    for h in hists:
-        for idx, c in h.counts.items():
-            counts[idx] = counts.get(idx, 0) + c
-    return ShotHistogram(counts=counts, total=sum(h.total for h in hists))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +270,7 @@ def neqr_decode_register(
     npos = side * side
     if shots == 0:
         table = np.abs(state.amplitudes.reshape(2**q, npos))
-        hits = table > 1e-9
+        hits = table > TOL.neqr_hit
         if not (hits.sum(axis=0) == 1).all():
             raise NotNeqrStateError("some position has zero or several gray codes")
         grays = np.argmax(hits, axis=0).astype(np.int64)
@@ -325,11 +312,6 @@ def qubo_encode(img: GrayImage, plane: int | None = None) -> QuboState:
     grid[..., 0] = 1 - bits
     grid[..., 1] = bits
     return QuboState(n=img.n, qubits=grid)
-
-
-def qubo_encode_all_planes(img: GrayImage) -> tuple[QuboState, ...]:
-    """Every bit plane of the image, least significant first."""
-    return tuple(qubo_encode(img, plane) for plane in range(img.q))
 
 
 def qubo_decode(qs: QuboState) -> BinaryImage:

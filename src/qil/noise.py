@@ -12,7 +12,6 @@ and likewise for beta on outcome 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,40 +121,6 @@ def decompose_and_verify(m: int, q: Qubit) -> Decomposition:
     exact = collapse(MeasurementSet.cbs(1).operators[m], StateVector.of_qubit(q))
     defect = float(np.linalg.norm(lin + res.vector - exact.amplitudes))
     return Decomposition(linear=lin, residue=res, exact=exact, defect=defect)
-
-
-#: Odd-order series coefficients 1/2, 1/(2^3 3!), 3^2/(2^5 5!), ... index = order.
-_MAX_TAYLOR_ORDER = 9
-
-
-def _taylor_coefficient(order: int) -> float:
-    # numerator is the squared double factorial 1^2 3^2 5^2 ... (order-2)^2
-    num = 1.0
-    for odd in range(1, order - 1, 2):
-        num *= odd * odd
-    return num / (2.0**order * math.factorial(order))
-
-
-def taylor_partial_sum(m: int, q: Qubit, order: int) -> np.ndarray:
-    """Partial sum of the series expansion of the collapse map around |m>.
-
-    Vector powers of (|psi> - |m>) are taken element-wise; the order-1 term
-    equals the linear map (M_m/2) applied to that difference. Diagnostic
-    only: convergence to the exact projection is not established and is not
-    asserted anywhere.
-    """
-    if m not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    if order % 2 == 0 or not 1 <= order <= _MAX_TAYLOR_ORDER:
-        raise ValueError(f"order must be odd and within [1, {_MAX_TAYLOR_ORDER}], got {order}")
-    diff = q.as_array()
-    diff[m] -= 1.0
-    total = np.zeros(2, dtype=complex)
-    for k in range(1, order + 1, 2):
-        term = np.zeros(2, dtype=complex)
-        term[m] = diff[m] ** k  # projector M_m keeps only component m
-        total += _taylor_coefficient(k) * term
-    return total
 
 
 def inject_state_noise(s: StateVector, cfg: StateNoiseConfig) -> StateVector:

@@ -202,7 +202,8 @@ def save_unitary_csv(u: UnitaryMatrix, path) -> None:
 
 def _stage_seeds(seed: int) -> list[int]:
     # streams 0 and 1 belong to the CLI (classical / amplitude noise); the
-    # pipeline consumes 2 (decode sampling) and 3 (tomography)
+    # pipeline consumes 2 (decode sampling) and 3 (tomography). The compare
+    # driver seeds its three runs from streams 0-2 and its sweep from 3.
     return [int(v) for v in np.random.SeedSequence(seed).generate_state(4)]
 
 
@@ -218,7 +219,7 @@ def _load_image(image_path, q: int | None) -> GrayImage:
 
 
 def tomography_register(
-    representation: str, img: GrayImage, num_qubits: int
+    representation: str, img: GrayImage, num_qubits: int, max_qubits: int = REGISTER_CAP
 ) -> tuple[DensityMatrix, TomographyDesign]:
     """Ideal k-qubit probe state and measurement design for a representation.
 
@@ -227,7 +228,8 @@ def tomography_register(
     top k qubits of the full register (partial trace), full Pauli design.
     qubo: the CBS state of the first k pixels' most significant bits,
     measured in the diagonal design only, since CBS registers never require
-    leaving the computational basis.
+    leaving the computational basis. ``max_qubits`` caps the neqr register
+    the probe is traced out of.
     """
     if representation not in REPRESENTATIONS:
         raise PipelineConfigError(f"unknown representation {representation!r}")
@@ -242,7 +244,7 @@ def tomography_register(
         rho = density_from_pure(tensor(*parts))
         return rho, TomographyDesign.full_pauli(num_qubits)
     if representation == "neqr":
-        ns = neqr_encode(img)
+        ns = neqr_encode(img, max_qubits=max_qubits)
         reduced = reduced_density_matrix(ns.state, list(range(num_qubits)))
         return DensityMatrix.from_entries(reduced), TomographyDesign.full_pauli(num_qubits)
     bits = [(int(flat[i % flat.size]) >> (img.q - 1)) & 1 for i in range(num_qubits)]
@@ -252,13 +254,18 @@ def tomography_register(
 
 
 def run_tomography_experiment(
-    representation: str, img: GrayImage, num_qubits: int, shots_per_observable: int, seed: int
+    representation: str,
+    img: GrayImage,
+    num_qubits: int,
+    shots_per_observable: int,
+    seed: int,
+    max_qubits: int = REGISTER_CAP,
 ) -> tuple[DensityMatrix, DensityMatrix, MatrixErrorReport]:
     """Simulate frequencies for the representation's probe and invert them.
 
     Returns (estimate, ideal, error report).
     """
-    ideal, design = tomography_register(representation, img, num_qubits)
+    ideal, design = tomography_register(representation, img, num_qubits, max_qubits)
     freq = simulate_frequencies(ideal, design, shots_per_observable, seed=seed)
     est = linear_inversion(design, freq)
     return est, ideal, matrix_error(ideal, est)
@@ -356,6 +363,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
             cfg.tomography.num_qubits,
             cfg.tomography.shots_per_observable,
             seeds[3],
+            cfg.max_qubits,
         )
         write_grid_csv(est.entries.real, out / "tomo_real.csv")
         write_grid_csv(est.entries.imag, out / "tomo_imag.csv")
@@ -438,7 +446,8 @@ def run_repr_compare(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    derived = [int(v) for v in np.random.SeedSequence(seed).generate_state(4)]
+    derived = _stage_seeds(seed)
+    cap = register_cap()
     rows = []
     for rep, rep_seed in zip(REPRESENTATIONS, derived):
         cfg = ExperimentConfig(
@@ -467,7 +476,7 @@ def run_repr_compare(
     for k in range(1, sweep_max_qubits + 1):
         for rep in REPRESENTATIONS:
             _, _, mreport = run_tomography_experiment(
-                rep, img, k, tomo_shots, int(sweep_streams[stream])
+                rep, img, k, tomo_shots, int(sweep_streams[stream]), cap
             )
             stream += 1
             pct = mreport.max_percentage_error_real

@@ -172,7 +172,7 @@ class FrequencyRecord:
         arr = np.array(self.mu, dtype=float)
         if self.shots < 0:
             raise ValueError("shots must be nonnegative")
-        if self.shots == 0 and (arr.min() < -1.0 - 1e-12 or arr.max() > 1.0 + 1e-12):
+        if self.shots == 0 and np.abs(arr).max() > 1.0 + TOL.pauli_range:
             raise ValueError("exact Pauli frequencies must lie in [-1, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "mu", arr)

@@ -76,3 +76,24 @@ def test_tomography_subcommand(image_path, tmp_path, capsys):
 def test_missing_required_argument_exits():
     with pytest.raises(SystemExit):
         main(["run", "--repr", "frqi"])
+
+
+def test_library_value_error_exits_with_message(image_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "run", "--image", image_path, "--repr", "frqi", "--shots", "-3",
+            "--out", str(tmp_path / "neg"),
+        ])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("qil: error: shots must be nonnegative")
+
+
+def test_missing_image_file_exits_with_message(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "run", "--image", str(tmp_path / "absent.pgm"), "--repr", "frqi",
+            "--out", str(tmp_path / "out"),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qil: error: ") and "absent.pgm" in err

@@ -186,19 +186,6 @@ def test_evolution_composes_over_time(rng):
         assert np.abs(whole - split).max() < TOL.evolution_compose
 
 
-def test_piecewise_evolution_composes_segments(rng):
-    from qil.core import evolve_piecewise
-
-    h1 = Hamiltonian(entries=random_hermitian(rng, 2))
-    h2 = Hamiltonian(entries=random_hermitian(rng, 2))
-    same = evolve_piecewise([(h1, 0.4), (h1, 0.6)])
-    np.testing.assert_allclose(same.entries, evolve_hamiltonian(h1, 1.0).entries, atol=1e-9)
-    # first segment acts first: U = U2 U1
-    seq = evolve_piecewise([(h1, 0.5), (h2, 0.5)])
-    expected = evolve_hamiltonian(h2, 0.5).entries @ evolve_hamiltonian(h1, 0.5).entries
-    np.testing.assert_allclose(seq.entries, expected, atol=1e-12)
-
-
 def test_norm_preserved_for_thousand_random_pairs(rng):
     for _ in range(1000):
         k = int(rng.integers(1, 4))
@@ -301,6 +288,41 @@ def test_sample_measurement_frequency_matches_born_rule():
     ones = sum(sample_measurement(mset, s, rng_seed=seed)[0] for seed in range(draws))
     bound = 4 * math.sqrt(0.25 / draws)
     assert abs(ones / draws - 0.5) < bound
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cbs_set_matches_dense_projectors(k):
+    rng = np.random.default_rng(100 + k)
+    eye = np.eye(2**k)
+    dense = MeasurementSet(
+        operators=tuple(MeasurementOperator(m, np.diag(eye[m])) for m in range(2**k))
+    )
+    cbs = MeasurementSet.cbs(k)
+    values = tuple(float(v) for v in rng.uniform(0.0, 3.0, size=2**k))
+    for _ in range(5):
+        s = random_state(rng, k)
+        np.testing.assert_allclose(
+            outcome_probabilities(cbs, s).probabilities,
+            outcome_probabilities(dense, s).probabilities,
+            rtol=0, atol=1e-12,
+        )
+        for seed in range(10):
+            outcome, post = sample_measurement(cbs, s, rng_seed=seed)
+            ref_outcome, ref_post = sample_measurement(dense, s, rng_seed=seed)
+            assert outcome == ref_outcome
+            np.testing.assert_allclose(post.amplitudes, ref_post.amplitudes, rtol=0, atol=1e-12)
+        for power in (1, 2, 3):
+            got = observable_expectation(Observable(values, cbs), s, power)
+            ref = observable_expectation(Observable(values, dense), s, power)
+            assert got == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_cbs_measurement_never_builds_projectors(rng):
+    mset = MeasurementSet.cbs(10)
+    assert len(mset) == mset.dim == 2**10
+    outcome, post = sample_measurement(mset, random_state(rng, 10), rng_seed=5)
+    assert abs(post.amplitudes[outcome]) == pytest.approx(1.0)
+    assert "operators" not in vars(mset)
 
 
 def test_sample_measurement_post_state_consistency(rng):

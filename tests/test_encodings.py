@@ -14,13 +14,11 @@ from qil.encodings import (
     frqi_decode,
     frqi_encode,
     gray_to_theta,
-    merge_histograms,
     neqr_decode,
     neqr_encode,
     qubit_budget,
     qubo_decode,
     qubo_encode,
-    qubo_encode_all_planes,
     sample_histogram,
     theta_to_gray,
 )
@@ -200,14 +198,6 @@ def test_qubo_rejects_superposition():
         QuboState(n=0, qubits=grid)
 
 
-def test_qubo_all_planes(rng):
-    img = random_gray_image(rng, 1)
-    planes = qubo_encode_all_planes(img)
-    assert len(planes) == 8
-    for p, qs in enumerate(planes):
-        np.testing.assert_array_equal(qubo_decode(qs).bits, (img.pixels >> p) & 1)
-
-
 # ---------------------------------------------------------------------------
 # budgets and caps
 
@@ -253,15 +243,6 @@ def test_histogram_never_hits_zero_probability_outcomes():
     s = StateVector.basis(2, 2)
     h = sample_histogram(s, shots=1000, seed=1)
     assert h.counts == {2: 1000}
-
-
-def test_histogram_merge_is_order_independent():
-    s = StateVector.from_amplitudes([0.6, 0.8])
-    parts = [sample_histogram(s, shots=500, seed=seed) for seed in (1, 2, 3)]
-    ab = merge_histograms(parts[0], parts[1], parts[2])
-    ba = merge_histograms(parts[2], parts[0], parts[1])
-    assert ab.counts == ba.counts
-    assert ab.total == 1500
 
 
 # ---------------------------------------------------------------------------

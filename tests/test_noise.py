@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from qil.noise import (
     inject_state_noise,
     linear_term,
     measurement_residue,
-    taylor_partial_sum,
 )
 from util import qubit_strategy, random_qubit, random_state
 
@@ -119,46 +117,6 @@ def test_decomposition_identity_over_random_qubits(rng):
 def test_decomposition_identity_property(q):
     for m in (0, 1):
         assert decompose_and_verify(m, q).defect < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# series diagnostic
-
-# printed coefficient sequence for the odd orders 1, 3, 5, 7, 9
-SERIES_COEFFS = {
-    1: Fraction(1, 2),
-    3: Fraction(1, 2**3 * 6),
-    5: Fraction(9, 2**5 * 120),
-    7: Fraction(225, 2**7 * 5040),
-    9: Fraction(11025, 2**9 * 362880),
-}
-
-
-def test_series_vanishes_at_expansion_point():
-    np.testing.assert_array_equal(taylor_partial_sum(0, Qubit(1.0, 0.0), 1), [0.0, 0.0])
-
-
-def test_series_order_one_is_half_projected_difference(rng):
-    q = random_qubit(rng)
-    out = taylor_partial_sum(0, q, 1)
-    np.testing.assert_allclose(out, [(q.alpha - 1.0) / 2, 0.0], atol=1e-15)
-
-
-def test_series_consecutive_orders_differ_by_printed_term(rng):
-    q = random_qubit(rng)
-    diff = q.alpha - 1.0
-    for low, high in ((1, 3), (3, 5), (5, 7), (7, 9)):
-        delta = taylor_partial_sum(0, q, high) - taylor_partial_sum(0, q, low)
-        expected = float(SERIES_COEFFS[high]) * diff**high
-        assert delta[0] == pytest.approx(expected, abs=1e-15)
-        assert delta[1] == 0.0
-
-
-def test_series_rejects_bad_orders(rng):
-    q = random_qubit(rng)
-    for order in (0, 2, 4, -1, 11):
-        with pytest.raises(ValueError):
-            taylor_partial_sum(0, q, order)
 
 
 # ---------------------------------------------------------------------------

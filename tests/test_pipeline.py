@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qil.core import UnitaryMatrix
-from qil.images import read_pgm, write_pgm
+from qil.images import GrayImage, read_pgm, write_pgm
 from qil.noise import StateNoiseConfig
 from qil.pipeline import (
     BudgetExceededError,
@@ -186,6 +186,19 @@ def test_register_cap_env_override(monkeypatch, image_path, tmp_path):
     monkeypatch.setenv("QIL_MAX_QUBITS", "not-a-number")
     with pytest.raises(PipelineConfigError):
         register_cap()
+
+
+def test_neqr_tomography_honours_the_register_cap(rng, tmp_path):
+    # 64x64 at q=9 needs 21 qubits, one above the default cap
+    path = tmp_path / "q9.pgm"
+    write_pgm(GrayImage(pixels=rng.integers(0, 2**9, size=(64, 64)), q=9), path)
+    cfg = make_cfg(
+        path, tmp_path, representation="neqr", max_qubits=21,
+        tomography=TomographySettings(1, 0),
+    )
+    run = run_pipeline(cfg)
+    assert run.image_report.mse == 0.0
+    assert run.matrix_report is not None
 
 
 # ---------------------------------------------------------------------------
