@@ -37,7 +37,6 @@ from .encodings import (
     qubit_budget,
     qubo_decode,
     qubo_encode,
-    theta_to_gray,
 )
 from .images import BinaryImage, GrayImage, bit_plane, read_pgm, write_pgm
 from .metrics import image_error, matrix_error, noise_map
@@ -57,14 +56,11 @@ from .tomography import (
     FrequencyRecord,
     PauliObservable,
     TomographyDesign,
-    density_from_mixture,
     density_from_pure,
     linear_inversion,
     pauli_expectations,
-    project_to_physical,
     purity,
     simulate_frequencies,
-    single_qubit_reconstruct,
 )
 
 __version__ = "0.1.0"

@@ -161,12 +161,6 @@ def gray_to_theta(g: int, q: int) -> float:
     return g * HALF_PI / (2**q - 1)
 
 
-def theta_to_gray(theta: float, q: int) -> int:
-    """Rounding inverse of :func:`gray_to_theta`."""
-    g = int(round(theta * (2**q - 1) / HALF_PI))
-    return min(max(g, 0), 2**q - 1)
-
-
 def _check_cap(qubits_needed: int, max_qubits: int) -> None:
     if qubits_needed > max_qubits:
         raise RegisterTooLargeError(

@@ -44,6 +44,7 @@ from .metrics import (
 )
 from .noise import StateNoiseConfig, inject_state_noise
 from .tomography import (
+    MAX_PROBE_QUBITS,
     DensityMatrix,
     TomographyDesign,
     density_from_pure,
@@ -79,6 +80,13 @@ def register_cap() -> int:
     return cap
 
 
+def _check_probe_qubits(num_qubits: int, what: str = "tomography qubits") -> None:
+    if not 1 <= num_qubits <= MAX_PROBE_QUBITS:
+        raise PipelineConfigError(
+            f"{what} must be between 1 and {MAX_PROBE_QUBITS}, got {num_qubits}"
+        )
+
+
 @dataclass(frozen=True)
 class TomographySettings:
     """Probe size and per-observable shot budget (0 = exact frequencies)."""
@@ -87,8 +95,7 @@ class TomographySettings:
     shots_per_observable: int
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= 3:
-            raise PipelineConfigError("tomography supports 1 to 3 qubits")
+        _check_probe_qubits(self.num_qubits)
         if self.shots_per_observable < 0:
             raise PipelineConfigError("shots per observable must be nonnegative")
 
@@ -233,6 +240,7 @@ def tomography_register(
     """
     if representation not in REPRESENTATIONS:
         raise PipelineConfigError(f"unknown representation {representation!r}")
+    _check_probe_qubits(num_qubits)
     flat = img.pixels.reshape(-1)
     if representation == "frqi":
         parts = []
@@ -444,6 +452,7 @@ def run_repr_compare(
     each, and qubit_sweep.csv with tomography max-percentage errors per
     register size for the error-versus-qubits picture.
     """
+    _check_probe_qubits(sweep_max_qubits, "sweep_max_qubits")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     derived = _stage_seeds(seed)
@@ -498,16 +507,8 @@ def run_repr_compare(
     return compare_path
 
 
-#: Preparation-cost classes reported alongside measured timings, per scheme.
-COMPLEXITY_CLASS = {
-    "frqi": "O(2^(4n))",
-    "neqr": "O(q n 2^(2n))",
-    "qubo": "O(2^(2n))",
-}
-
-
 def run_budget_report(n_values, q: int, out_dir, seed: int = 0) -> Path:
-    """Qubit budgets, measured encode times, and cost classes per (repr, n)."""
+    """Qubit budgets and measured encode times per (repr, n)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -535,14 +536,13 @@ def run_budget_report(n_values, q: int, out_dir, seed: int = 0) -> Path:
                     "q": q,
                     "qubits": budget,
                     "encode_seconds": repr(timer),
-                    "complexity_class": COMPLEXITY_CLASS[rep],
                 }
             )
     path = out / "budget.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh,
-            fieldnames=["representation", "n", "q", "qubits", "encode_seconds", "complexity_class"],
+            fieldnames=["representation", "n", "q", "qubits", "encode_seconds"],
         )
         writer.writeheader()
         writer.writerows(rows)

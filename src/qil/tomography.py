@@ -1,10 +1,11 @@
 """Density matrices and linear-inversion state tomography with finite shots.
 
-The estimand is parametrized by d real diagonal entries plus d(d-1)/2 real
-and d(d-1)/2 imaginary off-diagonal parts (d = 2^k), so observed frequencies
-are linear in the parameter vector: mu = M t. Exact frequencies invert to
-the generating state; finite-shot frequencies carry sampling noise and can
-produce unphysical estimates, which are flagged rather than hidden.
+Pauli words are Hilbert-Schmidt orthogonal, Tr(PQ) = d delta_PQ with
+d = 2^k, so the means mu_P = Tr(P rho) of all 4^k words invert in closed
+form: rho = (1/d) sum_P mu_P P. Both directions factor over the qubits and
+are computed axis by axis, without forming any k-qubit word. Exact means
+invert to the generating state; finite-shot means carry sampling noise and
+can produce unphysical estimates, which are flagged rather than hidden.
 """
 
 from __future__ import annotations
@@ -26,9 +27,13 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+#: Largest probe register tomography accepts (4^8 words, a 256 x 256 estimate).
+MAX_PROBE_QUBITS = 8
 
-class RankDeficientDesignError(ValueError):
-    """Design matrix cannot determine every density-matrix parameter."""
+#: Per design alphabet, each letter's 2x2 matrix flattened to a row over (r, c).
+_LETTER_ROWS = {
+    letters: np.array([PAULI[c].reshape(4) for c in letters]) for letters in ("IXYZ", "IZ")
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,69 +91,36 @@ class PauliObservable:
         matrix = reduce(np.kron, (PAULI[c] for c in label))
         return cls(label=label, matrix=matrix)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(c in "IZ" for c in self.label)
 
-
-def _parameter_basis(dim: int, diagonal_only: bool = False) -> tuple[np.ndarray, ...]:
-    """Hermitian basis matrices, one per real parameter.
-
-    Diagonal entries first, then E_ab + E_ba for a < b, then i(E_ab - E_ba).
-    """
-    basis = []
-    for a in range(dim):
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[a, a] = 1.0
-        basis.append(mat)
-    if not diagonal_only:
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                mat = np.zeros((dim, dim), dtype=complex)
-                mat[a, b] = mat[b, a] = 1.0
-                basis.append(mat)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                mat = np.zeros((dim, dim), dtype=complex)
-                mat[a, b] = 1j
-                mat[b, a] = -1j
-                basis.append(mat)
-    return tuple(basis)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TomographyDesign:
-    """Observables plus the matrix mapping density parameters to frequencies."""
+    """Every Pauli word over ``letters`` on ``num_qubits`` qubits, in product order.
 
-    observables: tuple[PauliObservable, ...]
-    basis: tuple[np.ndarray, ...]
-    matrix: np.ndarray
+    ``"IXYZ"`` determines a general density matrix, ``"IZ"`` its diagonal.
+    """
+
+    num_qubits: int
+    letters: str
 
     def __post_init__(self):
-        if not any(set(obs.label) == {"I"} for obs in self.observables):
-            raise ValueError("design must include the identity word (trace normalization)")
-        if np.linalg.matrix_rank(self.matrix) < self.matrix.shape[1]:
-            raise RankDeficientDesignError("design matrix has deficient column rank")
+        if self.letters not in _LETTER_ROWS:
+            raise ValueError(f"letters must be one of {tuple(_LETTER_ROWS)}, got {self.letters!r}")
+        if not 1 <= self.num_qubits <= MAX_PROBE_QUBITS:
+            raise ValueError(
+                f"tomography supports 1 to {MAX_PROBE_QUBITS} qubits, got {self.num_qubits}"
+            )
 
     @property
-    def num_qubits(self) -> int:
-        return len(self.observables[0].label)
+    def labels(self) -> tuple[str, ...]:
+        return tuple("".join(w) for w in itertools.product(self.letters, repeat=self.num_qubits))
 
-    @classmethod
-    def _build(cls, labels, diagonal_only: bool) -> "TomographyDesign":
-        observables = tuple(PauliObservable.from_label(lb) for lb in labels)
-        dim = observables[0].matrix.shape[0]
-        basis = _parameter_basis(dim, diagonal_only=diagonal_only)
-        matrix = np.array(
-            [[np.trace(obs.matrix @ b).real for b in basis] for obs in observables]
-        )
-        return cls(observables=observables, basis=basis, matrix=matrix)
+    def __len__(self) -> int:
+        return len(self.letters) ** self.num_qubits
 
     @classmethod
     def full_pauli(cls, num_qubits: int) -> "TomographyDesign":
         """All 4^k Pauli words; determines a general density matrix."""
-        labels = ["".join(w) for w in itertools.product("IXYZ", repeat=num_qubits)]
-        return cls._build(labels, diagonal_only=False)
+        return cls(num_qubits, "IXYZ")
 
     @classmethod
     def cbs_diagonal(cls, num_qubits: int) -> "TomographyDesign":
@@ -157,8 +129,7 @@ class TomographyDesign:
         Every observable commutes with the computational basis, so measuring
         a CBS register is outcome-deterministic: the key to QuBo's immunity.
         """
-        labels = ["".join(w) for w in itertools.product("IZ", repeat=num_qubits)]
-        return cls._build(labels, diagonal_only=True)
+        return cls(num_qubits, "IZ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,20 +159,6 @@ def density_from_pure(s: StateVector) -> DensityMatrix:
     return DensityMatrix(entries=rho, physical=True)
 
 
-def density_from_mixture(components) -> DensityMatrix:
-    """Statistical mixture sum_i P_i |psi_i><psi_i|; weights must sum to 1."""
-    weights = [float(p) for p, _ in components]
-    if any(w < 0 for w in weights):
-        raise ValueError("mixture weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > TOL.probability_sum:
-        raise ValueError(f"mixture weights sum to {sum(weights)}, not 1")
-    dim = components[0][1].dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w, s in components:
-        rho += w * np.outer(s.amplitudes, s.amplitudes.conj())
-    return DensityMatrix(entries=rho, physical=True)
-
-
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2): 1 for pure states, 1/dim for the maximally mixed state."""
     return float(np.trace(rho.entries @ rho.entries).real)
@@ -227,96 +184,68 @@ def pauli_expectations(rho: DensityMatrix) -> tuple[float, float, float]:
     )
 
 
-def single_qubit_reconstruct(expectations) -> DensityMatrix:
-    """Assemble rho = (I + x X + y Y + z Z) / 2 from Bloch components.
-
-    Always returns a trace-1 Hermitian matrix; a Bloch radius above 1 yields
-    physical = False rather than an error, mirroring what noisy tomography
-    produces.
-    """
-    x, y, z = (float(v) for v in expectations)
-    rho = 0.5 * (np.eye(2, dtype=complex) + x * PAULI["X"] + y * PAULI["Y"] + z * PAULI["Z"])
-    return DensityMatrix.from_entries(rho)
-
-
 # ---------------------------------------------------------------------------
 # frequency simulation and inversion
 
 
-def _born_eigen_sampling(obs: PauliObservable, rho: DensityMatrix):
-    """Outcome eigenvalues and their Born probabilities for one observable."""
-    if obs.is_diagonal:
-        # commutes with the basis: outcomes are the diagonal entries, and a
-        # CBS register makes the draw deterministic (exact 0/1 probabilities)
-        values = np.diag(obs.matrix).real
-        probs = np.diag(rho.entries).real
-    else:
-        values, vectors = np.linalg.eigh(obs.matrix)
-        probs = np.einsum("ij,jk,ki->i", vectors.conj().T, rho.entries, vectors).real
-    probs = np.clip(probs, 0.0, None)
-    return values, probs / probs.sum()
+def _along_each_axis(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` along every axis of ``t``: (mat x ... x mat) times t, flattened."""
+    for _ in range(t.ndim):
+        # contracting axis 0 and appending the new one cycles the axes back
+        t = np.tensordot(t, mat, axes=([0], [1]))
+    return t
+
+
+def _qubit_pairs(rho: np.ndarray, k: int) -> np.ndarray:
+    """View a 2^k x 2^k matrix as k axes of 4, one (row bit, column bit) pair per qubit."""
+    order = [a for q in range(k) for a in (q, k + q)]
+    return rho.reshape((2,) * (2 * k)).transpose(order).reshape((4,) * k)
+
+
+def _from_qubit_pairs(t: np.ndarray, k: int) -> np.ndarray:
+    order = [2 * q for q in range(k)] + [2 * q + 1 for q in range(k)]
+    return t.reshape((2,) * (2 * k)).transpose(order).reshape(2**k, 2**k)
 
 
 def simulate_frequencies(
     rho: DensityMatrix, design: TomographyDesign, shots: int, seed: int = 0
 ) -> FrequencyRecord:
-    """Observed frequencies mu_i for every design observable.
+    """Observed mean outcome mu_P for every design word.
 
-    shots = 0 returns the exact expectations Tr(O_i rho). Otherwise each
-    observable is measured ``shots`` times by sampling its eigenvalue
-    outcomes from the Born distribution; the sampling error is the
-    measurement noise of the record.
+    shots = 0 returns the exact means Tr(P rho). Otherwise each word is
+    measured ``shots`` times: its outcomes are +1 or -1, so the number of +1
+    outcomes is binomial with probability (1 + mu_P)/2, and the sampling
+    error is the measurement noise of the record. Words with a certain
+    outcome (the all-I word, Z words on a CBS register) read exactly +-1.
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    if design.observables[0].matrix.shape[0] != rho.dim:
+    if 2**design.num_qubits != rho.dim:
         raise ValueError("design dimension does not match the state")
+    # Tr(P rho) = sum_rc conj(P_rc) rho_rc for Hermitian P, one qubit at a time
+    pairs = _qubit_pairs(rho.entries, design.num_qubits)
+    mu = _along_each_axis(_LETTER_ROWS[design.letters].conj(), pairs).real.reshape(-1)
     if shots == 0:
-        mu = np.array(
-            [np.trace(obs.matrix @ rho.entries).real for obs in design.observables]
-        )
         return FrequencyRecord(mu=mu, shots=0)
-    streams = np.random.SeedSequence(seed).spawn(len(design.observables))
-    mu = np.empty(len(design.observables))
-    for i, obs in enumerate(design.observables):
-        values, probs = _born_eigen_sampling(obs, rho)
-        counts = np.random.default_rng(streams[i]).multinomial(shots, probs)
-        mu[i] = float(np.dot(values, counts) / shots)
-    return FrequencyRecord(mu=mu, shots=shots)
+    p_plus = np.clip((1.0 + mu) / 2.0, 0.0, 1.0)
+    p_plus[0] = 1.0  # the all-I word: Tr(rho) = 1 up to rounding
+    plus = np.random.default_rng(seed).binomial(shots, p_plus)
+    return FrequencyRecord(mu=(2 * plus - shots) / shots, shots=shots)
 
 
 def linear_inversion(design: TomographyDesign, freq: FrequencyRecord) -> DensityMatrix:
-    """Least-squares solve of mu = M t and assembly of the estimate rho(t).
+    """Closed-form inversion rho = (1/d) sum_P mu_P P of the design's means.
 
-    With exact frequencies this recovers the generating state; with noisy
-    frequencies the estimate stays Hermitian with unit trace but may carry
-    negative eigenvalues, reported via physical = False.
+    With exact means this recovers the generating state (its diagonal for
+    the I/Z design); with noisy means the estimate stays Hermitian with unit
+    trace but may carry negative eigenvalues, reported via physical = False.
     """
-    if len(freq.mu) != len(design.observables):
+    if len(freq.mu) != len(design):
         raise ValueError("frequency count does not match the design")
-    t, _, rank, _ = np.linalg.lstsq(design.matrix, freq.mu, rcond=None)
-    if rank < design.matrix.shape[1]:
-        raise RankDeficientDesignError("design matrix has deficient column rank")
-    dim = design.basis[0].shape[0]
-    rho = np.zeros((dim, dim), dtype=complex)
-    for coeff, mat in zip(t, design.basis):
-        rho += coeff * mat
-    return DensityMatrix.from_entries(rho)
-
-
-def project_to_physical(rho: DensityMatrix) -> DensityMatrix:
-    """Clip negative eigenvalues to zero and renormalize the trace to 1.
-
-    Idempotent; already-physical inputs pass through unchanged up to
-    rounding. Standing substitute for constrained estimation.
-    """
-    values, vectors = np.linalg.eigh(rho.entries)
-    clipped = np.clip(values, 0.0, None)
-    total = clipped.sum()
-    if total <= 0:
-        raise ValueError("cannot project a matrix with no positive eigenvalue weight")
-    fixed = (vectors * (clipped / total)) @ vectors.conj().T
-    return DensityMatrix(entries=fixed, physical=True)
+    k = design.num_qubits
+    inverse = _LETTER_ROWS[design.letters].T / 2.0
+    pairs = _along_each_axis(inverse, freq.mu.reshape((len(design.letters),) * k))
+    return DensityMatrix.from_entries(_from_qubit_pairs(pairs, k))
 
 
 def format_record(est: DensityMatrix, ideal: DensityMatrix | None = None) -> str:

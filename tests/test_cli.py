@@ -97,3 +97,26 @@ def test_missing_image_file_exits_with_message(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("qil: error: ") and "absent.pgm" in err
+
+
+@pytest.mark.parametrize("qubits", ["0", "9"])
+def test_tomography_probe_size_out_of_range_exits(image_path, tmp_path, capsys, qubits):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "tomography", "--image", image_path, "--repr", "neqr",
+            "--qubits", qubits, "--out", str(tmp_path / "tomo"),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qil: error: tomography qubits must be between 1 and 8")
+
+
+def test_compare_rejects_empty_sweep_before_any_run(image_path, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "compare", "--image", image_path, "--sweep-max-qubits", "0", "--out", str(out),
+        ])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("qil: error: sweep_max_qubits must be between")
+    assert not out.exists()

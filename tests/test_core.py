@@ -60,6 +60,15 @@ def test_state_vector_validates_length_and_norm():
         StateVector(num_qubits=1, amplitudes=[1.0, 1.0])
 
 
+def test_state_accepted_at_the_norm_bound_can_be_measured():
+    # |norm - 1| = 0.9e-10 passes StateVector, so sum |psi|^2 = 1 + 1.8e-10 must pass too
+    s = StateVector(num_qubits=1, amplitudes=np.array([1, 1]) / math.sqrt(2) * (1 + 0.9e-10))
+    dist = outcome_probabilities(MeasurementSet.cbs(1), s)
+    assert dist.probabilities.sum() == pytest.approx(1.0)
+    outcome, post = sample_measurement(MeasurementSet.cbs(1), s, rng_seed=0)
+    assert abs(post.amplitudes[outcome]) == pytest.approx(1.0)
+
+
 def test_unitary_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryMatrix(np.array([[1.0, 0.0], [1.0, 1.0]]))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,20 +9,17 @@ from qil.tolerances import TOL
 from qil.tomography import (
     DensityMatrix,
     FrequencyRecord,
+    MAX_PROBE_QUBITS,
     PauliObservable,
-    RankDeficientDesignError,
     TomographyDesign,
-    density_from_mixture,
     density_from_pure,
     format_record,
     linear_inversion,
     pauli_expectations,
-    project_to_physical,
     purity,
     purity_from_bloch,
     purity_from_weights,
     simulate_frequencies,
-    single_qubit_reconstruct,
 )
 from util import random_density, random_state
 
@@ -62,27 +60,11 @@ def test_density_from_pure_trace_one(rng):
         assert purity(dm) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mixture_pure_limit():
-    dm = density_from_mixture([(1.0, StateVector.basis(1, 0))])
-    np.testing.assert_array_equal(dm.entries, [[1, 0], [0, 0]])
-
-
 def test_mixture_maximally_mixed():
-    dm = density_from_mixture(
-        [(0.5, StateVector.basis(1, 0)), (0.5, StateVector.basis(1, 1))]
-    )
-    np.testing.assert_allclose(dm.entries, np.eye(2) / 2)
+    dm = DensityMatrix.from_entries(np.eye(2) / 2)
+    assert dm.physical
     assert purity(dm) == pytest.approx(0.5)
     assert purity_from_weights([0.5, 0.5]) == pytest.approx(0.5)
-
-
-def test_mixture_weight_validation():
-    with pytest.raises(ValueError):
-        density_from_mixture([(0.7, StateVector.basis(1, 0))])
-    with pytest.raises(ValueError):
-        density_from_mixture(
-            [(-0.5, StateVector.basis(1, 0)), (1.5, StateVector.basis(1, 1))]
-        )
 
 
 def test_purity_formulas_agree_on_random_single_qubits(rng):
@@ -97,7 +79,7 @@ def test_purity_formulas_agree_on_random_single_qubits(rng):
 
 
 # ---------------------------------------------------------------------------
-# Bloch reads and reconstruction
+# Bloch reads and single-qubit reconstruction (linear inversion at k = 1)
 
 
 def test_pauli_expectations_reference_states():
@@ -113,17 +95,19 @@ def test_pauli_expectations_rejects_larger_registers(rng):
         pauli_expectations(random_density(rng, 2))
 
 
+def reconstruct(bloch, shots=0):
+    """rho = (I + x X + y Y + z Z) / 2 by linear inversion of the I, X, Y, Z means."""
+    record = FrequencyRecord(mu=np.array([1.0, *bloch]), shots=shots)
+    return linear_inversion(TomographyDesign.full_pauli(1), record)
+
+
 def test_single_qubit_reconstruct_reference_points():
-    np.testing.assert_allclose(
-        single_qubit_reconstruct((0.0, 0.0, 1.0)).entries, [[1, 0], [0, 0]], atol=1e-15
-    )
-    np.testing.assert_allclose(
-        single_qubit_reconstruct((0.0, 0.0, 0.0)).entries, np.eye(2) / 2
-    )
+    np.testing.assert_allclose(reconstruct((0.0, 0.0, 1.0)).entries, [[1, 0], [0, 0]], atol=1e-15)
+    np.testing.assert_allclose(reconstruct((0.0, 0.0, 0.0)).entries, np.eye(2) / 2)
 
 
 def test_single_qubit_reconstruct_flags_unphysical_radius():
-    dm = single_qubit_reconstruct((1.2, 0.0, 0.0))
+    dm = reconstruct((1.2, 0.0, 0.0), shots=10)
     assert abs(dm.entries.trace() - 1.0) < 1e-15
     assert not dm.physical
 
@@ -131,7 +115,7 @@ def test_single_qubit_reconstruct_flags_unphysical_radius():
 def test_reconstruct_inverts_expectations(rng):
     for _ in range(20):
         dm = random_density(rng, 1)
-        back = single_qubit_reconstruct(pauli_expectations(dm))
+        back = reconstruct(pauli_expectations(dm))
         np.testing.assert_allclose(back.entries, dm.entries, atol=1e-12)
 
 
@@ -141,39 +125,74 @@ def test_reconstruct_inverts_expectations(rng):
 
 def test_full_pauli_design_shape():
     design = TomographyDesign.full_pauli(2)
-    assert len(design.observables) == 16
-    assert design.matrix.shape == (16, 16)
-    assert design.observables[0].label == "II"
+    assert len(design) == len(design.labels) == 16
+    assert design.labels[:5] == ("II", "IX", "IY", "IZ", "XI")
 
 
 def test_cbs_diagonal_design_shape():
     design = TomographyDesign.cbs_diagonal(2)
-    assert [obs.label for obs in design.observables] == ["II", "IZ", "ZI", "ZZ"]
-    assert design.matrix.shape == (4, 4)
+    assert design.labels == ("II", "IZ", "ZI", "ZZ")
+    assert len(design) == 4
 
 
 def test_design_requires_identity_word():
     with pytest.raises(ValueError):
-        TomographyDesign(
-            observables=(PauliObservable.from_label("Z"),),
-            basis=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-            matrix=np.array([[1.0, -1.0]]),
-        )
+        TomographyDesign(num_qubits=1, letters="Z")
 
 
 def test_rank_deficient_design_rejected():
-    obs = (PauliObservable.from_label("I"), PauliObservable.from_label("I"))
-    basis = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    with pytest.raises(RankDeficientDesignError):
-        TomographyDesign(observables=obs, basis=basis, matrix=np.ones((2, 2)))
+    # two identity words cannot determine the diagonal
+    with pytest.raises(ValueError):
+        TomographyDesign(num_qubits=1, letters="II")
+
+
+@pytest.mark.parametrize("k", [0, MAX_PROBE_QUBITS + 1])
+def test_design_rejects_probe_size_out_of_range(k):
+    with pytest.raises(ValueError):
+        TomographyDesign.full_pauli(k)
 
 
 def test_exact_frequencies_match_trace_formula(rng):
     dm = random_density(rng, 2)
     design = TomographyDesign.full_pauli(2)
     rec = simulate_frequencies(dm, design, shots=0)
-    for mu, obs in zip(rec.mu, design.observables):
+    for mu, label in zip(rec.mu, design.labels):
+        obs = PauliObservable.from_label(label)
         assert mu == pytest.approx(np.trace(obs.matrix @ dm.entries).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("letters", ["IXYZ", "IZ"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_closed_form_matches_dense_pauli_words(rng, k, letters):
+    dm = random_density(rng, k)
+    design = TomographyDesign(num_qubits=k, letters=letters)
+    rec = simulate_frequencies(dm, design, shots=0)
+    dense = [
+        np.trace(PauliObservable.from_label(label).matrix @ dm.entries).real
+        for label in design.labels
+    ]
+    np.testing.assert_allclose(rec.mu, dense, rtol=0, atol=1e-12)
+    expected = dm.entries if letters == "IXYZ" else np.diag(np.diag(dm.entries))
+    est = linear_inversion(design, rec)
+    np.testing.assert_allclose(est.entries, expected, rtol=0, atol=1e-12)
+
+
+def test_identity_word_reads_exactly_one_at_one_shot(rng):
+    for k in (1, 3):
+        dm = random_density(rng, k)
+        for seed in range(20):
+            assert simulate_frequencies(dm, TomographyDesign.full_pauli(k), 1, seed).mu[0] == 1.0
+
+
+def test_largest_probe_simulates_and_inverts_within_a_second(rng):
+    k = MAX_PROBE_QUBITS
+    design = TomographyDesign.full_pauli(k)
+    assert len(design) == 4**8
+    dm = density_from_pure(random_state(rng, k))
+    t0 = time.perf_counter()
+    est = linear_inversion(design, simulate_frequencies(dm, design, shots=100, seed=1))
+    assert time.perf_counter() - t0 < 1.0
+    assert abs(est.entries.trace() - 1.0) < TOL.density_trace
 
 
 def test_cbs_z_measurement_has_zero_variance():
@@ -245,31 +264,6 @@ def test_inversion_frequency_count_mismatch():
     design = TomographyDesign.full_pauli(1)
     with pytest.raises(ValueError):
         linear_inversion(design, FrequencyRecord(mu=np.array([1.0, 0.0]), shots=0))
-
-
-# ---------------------------------------------------------------------------
-# physical projection
-
-
-def test_projection_keeps_physical_states(rng):
-    dm = random_density(rng, 2)
-    fixed = project_to_physical(dm)
-    assert np.abs(fixed.entries - dm.entries).max() < 1e-12
-
-
-def test_projection_clips_and_renormalizes():
-    dm = DensityMatrix(entries=np.diag([1.1, -0.1]).astype(complex), physical=False)
-    fixed = project_to_physical(dm)
-    np.testing.assert_allclose(fixed.entries, np.diag([1.0, 0.0]), atol=1e-12)
-    assert fixed.physical
-
-
-def test_projection_idempotent(rng):
-    dm = DensityMatrix(entries=np.diag([1.3, -0.3]).astype(complex), physical=False)
-    once = project_to_physical(dm)
-    twice = project_to_physical(once)
-    np.testing.assert_allclose(once.entries, twice.entries, atol=1e-14)
-    assert abs(once.entries.trace() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
