@@ -6,20 +6,15 @@ them back, and the error accounting shows which encodings survive the trip.
 
 from .core import (
     BlochAngles,
-    Hamiltonian,
     MeasurementOperator,
     MeasurementSet,
-    Observable,
     OutcomeDistribution,
     Qubit,
     StateVector,
     UndefinedProjectionError,
     UnitaryMatrix,
     apply_unitary,
-    bloch_from_qubit,
     collapse,
-    evolve_hamiltonian,
-    observable_expectation,
     outcome_probabilities,
     qubit_from_bloch,
     sample_measurement,

@@ -18,7 +18,6 @@ from .pipeline import (
     run_repr_compare,
     run_tomography_experiment,
     _load_image,
-    _stage_seeds,
 )
 from .tomography import format_record, purity
 
@@ -75,13 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     noise = None
     if args.noise_mag > 0.0:
-        # streams 0/1 of the master seed are reserved for noise injection
-        stream = 0 if args.noise_mode == "classical" else 1
-        noise = StateNoiseConfig(
-            mode=_NOISE_MODES[args.noise_mode],
-            magnitude=args.noise_mag,
-            rng_seed=_stage_seeds(args.seed)[stream],
-        )
+        noise = StateNoiseConfig(mode=_NOISE_MODES[args.noise_mode], magnitude=args.noise_mag)
     tomo = None
     if args.tomo_qubits is not None:
         tomo = TomographySettings(

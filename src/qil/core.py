@@ -144,26 +144,6 @@ class UnitaryMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class Hamiltonian:
-    """Hermitian generator of time evolution; ``hbar`` sets the action scale."""
-
-    entries: np.ndarray
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_matrix(self.entries))
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
-        defect = np.abs(self.entries - self.entries.conj().T).max()
-        if defect > TOL.hermitian:
-            raise ValueError(f"Hamiltonian is not Hermitian, defect {defect:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class MeasurementOperator:
     """Orthogonal projector labelled by its outcome index."""
 
@@ -261,24 +241,6 @@ def _cbs_measurement_set(num_qubits: int) -> BasisMeasurement:
 
 
 @dataclass(frozen=True, eq=False)
-class Observable:
-    """Nonnegative outcome values attached one-to-one to a measurement set."""
-
-    eigenvalues: tuple[float, ...]
-    set: MeasurementSet | BasisMeasurement
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
-        if len(self.eigenvalues) != len(self.set):
-            raise ValueError("need exactly one outcome value per measurement operator")
-        if any(v < 0 for v in self.eigenvalues):
-            raise ValueError("outcome values must be nonnegative")
-
-    def matrix(self) -> np.ndarray:
-        return sum(v * op.matrix for v, op in zip(self.eigenvalues, self.set.operators))
-
-
-@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     probabilities: np.ndarray
 
@@ -309,43 +271,11 @@ def qubit_from_bloch(angles: BlochAngles) -> Qubit:
     )
 
 
-def bloch_from_qubit(q: Qubit) -> BlochAngles:
-    """Invert :func:`qubit_from_bloch` up to global phase.
-
-    The input is first rotated so that alpha lands on the nonnegative real
-    axis (at the south pole, so that beta does), which discards the physically
-    unobservable global phase. At the poles phi is degenerate and reported
-    as 0.
-    """
-    a, b = q.alpha, q.beta
-    if abs(a) > 0.0:
-        phase = a / abs(a)
-    else:
-        phase = b / abs(b)
-    theta = 2.0 * math.atan2(abs(b), abs(a))
-    if abs(b) == 0.0 or abs(a) == 0.0:
-        phi = 0.0
-    else:
-        phi = cmath.phase(b / phase)
-    return BlochAngles(theta=theta, phi=phi)
-
-
 def apply_unitary(u: UnitaryMatrix, s: StateVector) -> StateVector:
     """Evolve the register: amplitudes' = U amplitudes. Norm is preserved."""
     if u.dim != s.dim:
         raise ValueError(f"unitary dim {u.dim} does not match register dim {s.dim}")
     return StateVector(num_qubits=s.num_qubits, amplitudes=u.entries @ s.amplitudes)
-
-
-def evolve_hamiltonian(h: Hamiltonian, t: float) -> UnitaryMatrix:
-    """Propagator exp(-i H t / hbar), computed by Hermitian eigendecomposition.
-
-    The eigendecomposition route keeps the result unitary to machine
-    precision for any t, unlike truncated series summation.
-    """
-    energies, vectors = np.linalg.eigh(h.entries)
-    phases = np.exp(-1j * energies * (t / h.hbar))
-    return UnitaryMatrix((vectors * phases) @ vectors.conj().T)
 
 
 def _outcome_weights(mset: MeasurementSet | BasisMeasurement, s: StateVector) -> np.ndarray:
@@ -387,6 +317,21 @@ def collapse(op: MeasurementOperator, s: StateVector) -> StateVector:
     return StateVector(num_qubits=s.num_qubits, amplitudes=projected / math.sqrt(prob))
 
 
+def collapse_to_basis(m: int, s: StateVector) -> StateVector:
+    """Post-measurement state of computational-basis outcome m: psi_m/|psi_m| on |m> alone.
+
+    The same state as :func:`collapse` with the projector |m><m|, read off the
+    diagonal without building it; a zero amplitude raises
+    :class:`UndefinedProjectionError` just as there.
+    """
+    amp = s.amplitudes[m]
+    if amp == 0:
+        raise UndefinedProjectionError(f"outcome {m} has probability 0; projection undefined")
+    amps = np.zeros(s.dim, dtype=complex)
+    amps[m] = amp / abs(amp)
+    return StateVector(num_qubits=s.num_qubits, amplitudes=amps)
+
+
 def _draw_counts(p: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcomes of nonzero probability and their counts over ``shots`` draws.
 
@@ -410,24 +355,8 @@ def sample_measurement(
     support, drawn = _draw_counts(dist.probabilities, 1, rng_seed)
     outcome = int(support[drawn.argmax()])
     if isinstance(mset, BasisMeasurement):
-        amps = np.zeros(s.dim, dtype=complex)
-        amps[outcome] = s.amplitudes[outcome] / abs(s.amplitudes[outcome])
-        return outcome, StateVector(num_qubits=s.num_qubits, amplitudes=amps)
+        return outcome, collapse_to_basis(outcome, s)
     return outcome, collapse(mset.operators[outcome], s)
-
-
-def observable_expectation(obs: Observable, s: StateVector, power: int = 1) -> float:
-    """Expectation of the observable raised to ``power``.
-
-    Powers distribute over the orthogonal projectors, so the value is
-    sum_m lambda_m^power <psi|M_m|psi> without forming any matrix power.
-    """
-    if not isinstance(power, int) or power < 1:
-        raise ValueError(f"power must be a positive integer, got {power}")
-    if obs.set.dim != s.dim:
-        raise ValueError("observable dimension does not match the register")
-    lam = np.array(obs.eigenvalues)
-    return float(np.dot(lam**power, _outcome_weights(obs.set, s)))
 
 
 def born_probabilities(s: StateVector) -> np.ndarray:

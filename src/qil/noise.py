@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementSet, Qubit, StateVector, collapse
+from .core import Qubit, StateVector, collapse_to_basis
 
 
 class UndefinedResidueError(ValueError):
@@ -52,12 +52,12 @@ class StateNoiseConfig:
 
     ``classical-pre-encode`` perturbs the classical image before encoding and
     is a no-op at the state level; ``amplitude-perturbation`` jitters the
-    register amplitudes and renormalizes.
+    register amplitudes and renormalizes. The pipeline derives each mode's
+    seed from the run seed.
     """
 
     mode: str
     magnitude: float
-    rng_seed: int
 
     MODES = ("classical-pre-encode", "amplitude-perturbation")
 
@@ -118,23 +118,23 @@ def decompose_and_verify(m: int, q: Qubit) -> Decomposition:
     """
     lin = linear_term(m, q)
     res = measurement_residue(m, q)
-    exact = collapse(MeasurementSet.cbs(1).operators[m], StateVector.of_qubit(q))
+    exact = collapse_to_basis(m, StateVector.of_qubit(q))
     defect = float(np.linalg.norm(lin + res.vector - exact.amplitudes))
     return Decomposition(linear=lin, residue=res, exact=exact, defect=defect)
 
 
-def inject_state_noise(s: StateVector, cfg: StateNoiseConfig) -> StateVector:
+def inject_state_noise(s: StateVector, cfg: StateNoiseConfig, seed: int) -> StateVector:
     """Apply preparation noise to a register.
 
     In amplitude-perturbation mode each amplitude gets an independent
     complex perturbation with standard deviation ``magnitude`` per real
-    component, after which the register is renormalized. The
-    classical-pre-encode mode does nothing here by design; the pipeline
-    applies it to pixels before encoding.
+    component, drawn from ``seed``, after which the register is
+    renormalized. The classical-pre-encode mode does nothing here by design;
+    the pipeline applies it to pixels before encoding.
     """
     if cfg.mode == "classical-pre-encode" or cfg.magnitude == 0.0:
         return s
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     jitter = cfg.magnitude * (
         rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
     )

@@ -138,7 +138,7 @@ class ExperimentConfig:
             noise = {
                 "mode": self.state_noise.mode,
                 "magnitude": self.state_noise.magnitude,
-                "rng_seed": int(self.state_noise.rng_seed),
+                "rng_seed": _noise_seed(self),
             }
         tomo = None
         if self.tomography is not None:
@@ -208,10 +208,17 @@ def save_unitary_csv(u: UnitaryMatrix, path) -> None:
 
 
 def _stage_seeds(seed: int) -> list[int]:
-    # streams 0 and 1 belong to the CLI (classical / amplitude noise); the
-    # pipeline consumes 2 (decode sampling) and 3 (tomography). The compare
-    # driver seeds its three runs from streams 0-2 and its sweep from 3.
+    # a run draws classical or amplitude noise from stream 0 or 1 (see
+    # _NOISE_STREAMS), decode sampling from 2 and tomography from 3. The
+    # compare driver seeds its three runs from streams 0-2 and its sweep from 3.
     return [int(v) for v in np.random.SeedSequence(seed).generate_state(4)]
+
+
+_NOISE_STREAMS = {"classical-pre-encode": 0, "amplitude-perturbation": 1}
+
+
+def _noise_seed(cfg: ExperimentConfig) -> int:
+    return _stage_seeds(cfg.seed)[_NOISE_STREAMS[cfg.state_noise.mode]]
 
 
 def _load_image(image_path, q: int | None) -> GrayImage:
@@ -300,9 +307,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         )
     working = img
     if cfg.state_noise is not None and cfg.state_noise.mode == "classical-pre-encode":
-        working = add_classical_noise(
-            img, cfg.state_noise.magnitude, cfg.state_noise.rng_seed
-        )
+        working = add_classical_noise(img, cfg.state_noise.magnitude, _noise_seed(cfg))
     timings["load"] = time.perf_counter() - t0
 
     plane = (img.q - 1) if cfg.plane is None else cfg.plane
@@ -322,7 +327,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         and cfg.state_noise is not None
         and cfg.state_noise.mode == "amplitude-perturbation"
     ):
-        register = inject_state_noise(register, cfg.state_noise)
+        register = inject_state_noise(register, cfg.state_noise, _noise_seed(cfg))
     timings["state_noise"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

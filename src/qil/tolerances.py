@@ -26,7 +26,6 @@ class Tolerances:
     eigenvalue_floor: float = 1e-10    # physicality: eigenvalues >= -floor
     purity_match: float = 1e-12        # purity formulas pairwise agreement
     recovery: float = 1e-10            # tomography forward-inverse, entrywise
-    evolution_compose: float = 1e-9    # U(t1+t2) = U(t1) U(t2)
     neqr_weight: float = 1e-9          # NEQR nonzero amplitudes = 1/2^n
     neqr_hit: float = 1e-9             # NEQR exact decode: |amplitude| above this is a code
     pauli_range: float = 1e-12         # exact Pauli frequencies within [-1, 1]

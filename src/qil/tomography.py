@@ -252,7 +252,8 @@ def format_record(est: DensityMatrix, ideal: DensityMatrix | None = None) -> str
     """Human-readable record: entry grids, purity, physicality, optional errors."""
 
     def grid(mat: np.ndarray) -> str:
-        return "\n".join("  " + "  ".join(f"{v:+.6f}" for v in row) for row in mat)
+        row_format = "  " + "  ".join(["%+.6f"] * mat.shape[1])
+        return "\n".join(row_format % tuple(row) for row in mat.tolist())
 
     lines = [
         f"density matrix estimate ({est.num_qubits} qubits, dim {est.dim})",

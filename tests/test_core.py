@@ -5,29 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qil import core
 from qil.core import (
     BlochAngles,
-    Hamiltonian,
     MeasurementOperator,
     MeasurementSet,
-    Observable,
     Qubit,
     StateVector,
     UndefinedProjectionError,
     UnitaryMatrix,
     apply_unitary,
-    bloch_from_qubit,
     collapse,
-    evolve_hamiltonian,
-    observable_expectation,
+    collapse_to_basis,
     outcome_probabilities,
     qubit_from_bloch,
     reduced_density_matrix,
     sample_measurement,
     tensor,
 )
+from qil.noise import decompose_and_verify
 from qil.tolerances import TOL
-from util import bloch_angle_strategy, qubit_strategy, random_hermitian, random_state, random_unitary
+from util import random_qubit, random_state, random_unitary
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -74,16 +72,6 @@ def test_unitary_rejects_non_unitary():
         UnitaryMatrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
-def test_hamiltonian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        Hamiltonian(entries=np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_observable_rejects_negative_outcome_values():
-    with pytest.raises(ValueError):
-        Observable(eigenvalues=(-1.0, 1.0), set=MeasurementSet.cbs(1))
-
-
 # ---------------------------------------------------------------------------
 # Bloch sphere
 
@@ -102,40 +90,8 @@ def test_qubit_from_bloch_reference_points(theta, phi, expected):
     assert q.beta == pytest.approx(expected[1], abs=1e-15)
 
 
-def test_bloch_from_qubit_poles_and_phase_strip():
-    a = bloch_from_qubit(Qubit(alpha=1.0, beta=0.0))
-    assert (a.theta, a.phi) == (0.0, 0.0)
-    # global phase i is discarded before inverting
-    s = 1j / math.sqrt(2)
-    b = bloch_from_qubit(Qubit(alpha=s, beta=s))
-    assert b.theta == pytest.approx(math.pi / 2)
-    assert b.phi == pytest.approx(0.0, abs=1e-15)
-
-
-@settings(max_examples=200)
-@given(bloch_angle_strategy())
-def test_bloch_round_trip_away_from_poles(angles):
-    theta, phi = angles
-    if not 1e-6 < theta < math.pi - 1e-6:
-        return
-    back = bloch_from_qubit(qubit_from_bloch(BlochAngles(theta=theta, phi=phi)))
-    assert back.theta == pytest.approx(theta, abs=1e-9)
-    assert math.cos(back.phi) == pytest.approx(math.cos(phi), abs=1e-9)
-    assert math.sin(back.phi) == pytest.approx(math.sin(phi), abs=1e-9)
-
-
-@settings(max_examples=100)
-@given(qubit_strategy(), st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True))
-def test_bloch_ignores_global_phase(q, gamma):
-    rotated = Qubit(alpha=q.alpha * np.exp(1j * gamma), beta=q.beta * np.exp(1j * gamma))
-    a, b = bloch_from_qubit(q), bloch_from_qubit(rotated)
-    assert a.theta == pytest.approx(b.theta, abs=1e-9)
-    assert math.cos(a.phi) == pytest.approx(math.cos(b.phi), abs=1e-9)
-    assert math.sin(a.phi) == pytest.approx(math.sin(b.phi), abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
-# unitaries and evolution
+# unitaries
 
 
 def test_apply_identity_is_noop(rng):
@@ -161,38 +117,6 @@ def test_apply_sigma_z_flips_beta_sign(rng):
 def test_apply_unitary_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_unitary(UnitaryMatrix.identity(2), StateVector.basis(2, 0))
-
-
-def test_zero_hamiltonian_evolves_to_identity():
-    u = evolve_hamiltonian(Hamiltonian(entries=np.zeros((4, 4))), t=3.7)
-    np.testing.assert_allclose(u.entries, np.eye(4), atol=1e-15)
-
-
-def test_sigma_z_half_period_gives_minus_identity():
-    # (hbar w / 2) sigma_z for a time 2 pi / w winds the phases to -1
-    omega = 2.0
-    h = Hamiltonian(entries=(omega / 2) * SIGMA_Z, hbar=1.0)
-    u = evolve_hamiltonian(h, t=2 * math.pi / omega)
-    expected = np.diag([np.exp(-1j * math.pi), np.exp(1j * math.pi)])
-    np.testing.assert_allclose(u.entries, expected, atol=1e-12)
-    np.testing.assert_allclose(u.entries, -np.eye(2), atol=1e-12)
-
-
-def test_evolution_output_is_unitary_for_random_hamiltonians(rng):
-    for _ in range(100):
-        h = Hamiltonian(entries=random_hermitian(rng, 4))
-        u = evolve_hamiltonian(h, t=float(rng.uniform(-5, 5)))
-        defect = np.abs(u.entries.conj().T @ u.entries - np.eye(4)).max()
-        assert defect < TOL.unitary
-
-
-def test_evolution_composes_over_time(rng):
-    for _ in range(5):
-        h = Hamiltonian(entries=random_hermitian(rng, 4))
-        t1, t2 = rng.uniform(0.1, 2.0, size=2)
-        whole = evolve_hamiltonian(h, t1 + t2).entries
-        split = evolve_hamiltonian(h, t1).entries @ evolve_hamiltonian(h, t2).entries
-        assert np.abs(whole - split).max() < TOL.evolution_compose
 
 
 def test_norm_preserved_for_thousand_random_pairs(rng):
@@ -258,6 +182,8 @@ def test_collapse_cross_projection_raises():
         collapse(mset.operators[0], StateVector.basis(1, 1))
     with pytest.raises(UndefinedProjectionError):
         collapse(mset.operators[1], StateVector.basis(1, 0))
+    with pytest.raises(UndefinedProjectionError):
+        collapse_to_basis(0, StateVector.basis(1, 1))
 
 
 def test_measurement_set_axioms_on_cbs():
@@ -307,7 +233,6 @@ def test_cbs_set_matches_dense_projectors(k):
         operators=tuple(MeasurementOperator(m, np.diag(eye[m])) for m in range(2**k))
     )
     cbs = MeasurementSet.cbs(k)
-    values = tuple(float(v) for v in rng.uniform(0.0, 3.0, size=2**k))
     for _ in range(5):
         s = random_state(rng, k)
         np.testing.assert_allclose(
@@ -320,10 +245,6 @@ def test_cbs_set_matches_dense_projectors(k):
             ref_outcome, ref_post = sample_measurement(dense, s, rng_seed=seed)
             assert outcome == ref_outcome
             np.testing.assert_allclose(post.amplitudes, ref_post.amplitudes, rtol=0, atol=1e-12)
-        for power in (1, 2, 3):
-            got = observable_expectation(Observable(values, cbs), s, power)
-            ref = observable_expectation(Observable(values, dense), s, power)
-            assert got == pytest.approx(ref, rel=0, abs=1e-12)
 
 
 def test_cbs_measurement_never_builds_projectors(rng):
@@ -334,47 +255,18 @@ def test_cbs_measurement_never_builds_projectors(rng):
     assert "operators" not in vars(mset)
 
 
+def test_decomposition_never_builds_projectors(rng):
+    core._cbs_measurement_set.cache_clear()
+    decompose_and_verify(0, random_qubit(rng))
+    assert "operators" not in vars(MeasurementSet.cbs(1))
+
+
 def test_sample_measurement_post_state_consistency(rng):
     s = random_state(rng, 2)
     mset = MeasurementSet.cbs(2)
     outcome, post = sample_measurement(mset, s, rng_seed=123)
     expected = collapse(mset.operators[outcome], s)
     np.testing.assert_allclose(post.amplitudes, expected.amplitudes)
-
-
-# ---------------------------------------------------------------------------
-# observables
-
-
-def test_expectation_projector_weight(rng):
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v /= np.linalg.norm(v)
-    s = StateVector(num_qubits=1, amplitudes=v)
-    obs = Observable(eigenvalues=(0.0, 1.0), set=MeasurementSet.cbs(1))
-    assert observable_expectation(obs, s) == pytest.approx(abs(v[1]) ** 2)
-
-
-def test_expectation_power_matches_matrix_square(rng):
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v /= np.linalg.norm(v)
-    s = StateVector(num_qubits=1, amplitudes=v)
-    obs = Observable(eigenvalues=(2.0, 3.0), set=MeasurementSet.cbs(1))
-    squared = obs.matrix() @ obs.matrix()
-    oracle = np.vdot(v, squared @ v).real
-    assert observable_expectation(obs, s, power=2) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_expectation_of_identity_observable_is_one(rng):
-    s = random_state(rng, 1)
-    obs = Observable(eigenvalues=(1.0, 1.0), set=MeasurementSet.cbs(1))
-    for power in (1, 2, 5):
-        assert observable_expectation(obs, s, power=power) == pytest.approx(1.0)
-
-
-def test_expectation_rejects_bad_power(rng):
-    obs = Observable(eigenvalues=(1.0, 1.0), set=MeasurementSet.cbs(1))
-    with pytest.raises(ValueError):
-        observable_expectation(obs, random_state(rng, 1), power=0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qil.core import Qubit
+from qil.core import MeasurementSet, Qubit, StateVector, collapse
 from qil.noise import (
     StateNoiseConfig,
     UndefinedResidueError,
@@ -109,7 +109,10 @@ def test_decomposition_identity_over_random_qubits(rng):
         for m in (0, 1):
             if abs((q.alpha, q.beta)[m]) == 0.0:
                 continue
-            assert decompose_and_verify(m, q).defect < 1e-12
+            d = decompose_and_verify(m, q)
+            assert d.defect < 1e-12
+            dense = collapse(MeasurementSet.cbs(1).operators[m], StateVector.of_qubit(q))
+            np.testing.assert_allclose(d.exact.amplitudes, dense.amplitudes, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=200)
@@ -125,20 +128,20 @@ def test_decomposition_identity_property(q):
 
 def test_zero_magnitude_noise_is_identity(rng):
     s = random_state(rng, 3)
-    cfg = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.0, rng_seed=1)
-    assert inject_state_noise(s, cfg) is s
+    cfg = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.0)
+    assert inject_state_noise(s, cfg, seed=1) is s
 
 
 def test_classical_mode_is_noop_at_state_level(rng):
     s = random_state(rng, 2)
-    cfg = StateNoiseConfig(mode="classical-pre-encode", magnitude=0.3, rng_seed=1)
-    assert inject_state_noise(s, cfg) is s
+    cfg = StateNoiseConfig(mode="classical-pre-encode", magnitude=0.3)
+    assert inject_state_noise(s, cfg, seed=1) is s
 
 
 def test_noise_renormalizes_and_reduces_fidelity(rng):
     s = random_state(rng, 3)
-    cfg = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.01, rng_seed=7)
-    out = inject_state_noise(s, cfg)
+    cfg = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.01)
+    out = inject_state_noise(s, cfg, seed=7)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
     fidelity = abs(np.vdot(out.amplitudes, s.amplitudes)) ** 2
     assert fidelity < 1.0
@@ -146,14 +149,14 @@ def test_noise_renormalizes_and_reduces_fidelity(rng):
 
 def test_noise_is_deterministic_per_seed(rng):
     s = random_state(rng, 2)
-    cfg = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.05, rng_seed=99)
-    a = inject_state_noise(s, cfg)
-    b = inject_state_noise(s, cfg)
+    cfg = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.05)
+    a = inject_state_noise(s, cfg, seed=99)
+    b = inject_state_noise(s, cfg, seed=99)
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
 
 def test_noise_config_validation():
     with pytest.raises(ValueError):
-        StateNoiseConfig(mode="other", magnitude=0.1, rng_seed=0)
+        StateNoiseConfig(mode="other", magnitude=0.1)
     with pytest.raises(ValueError):
-        StateNoiseConfig(mode="amplitude-perturbation", magnitude=-0.1, rng_seed=0)
+        StateNoiseConfig(mode="amplitude-perturbation", magnitude=-0.1)

@@ -108,13 +108,13 @@ def test_repeated_runs_are_byte_identical(image_path, tmp_path):
 
 
 def test_amplitude_noise_breaks_exact_frqi(image_path, tmp_path):
-    noise = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.02, rng_seed=4)
+    noise = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.02)
     run = run_pipeline(make_cfg(image_path, tmp_path, state_noise=noise))
     assert run.image_report.mse > 0.0
 
 
 def test_classical_noise_applies_before_encoding(image_path, tmp_path):
-    noise = StateNoiseConfig(mode="classical-pre-encode", magnitude=0.2, rng_seed=4)
+    noise = StateNoiseConfig(mode="classical-pre-encode", magnitude=0.2)
     run = run_pipeline(
         make_cfg(image_path, tmp_path, representation="qubo", state_noise=noise)
     )
@@ -122,8 +122,16 @@ def test_classical_noise_applies_before_encoding(image_path, tmp_path):
     assert run.image_report.mse > 0.0
 
 
+def test_noise_seed_is_derived_from_the_run_seed(image_path, tmp_path):
+    streams = np.random.SeedSequence(6).generate_state(2)
+    for stream, mode in ((0, "classical-pre-encode"), (1, "amplitude-perturbation")):
+        noise = StateNoiseConfig(mode=mode, magnitude=0.05)
+        run = run_pipeline(make_cfg(image_path, tmp_path / mode, seed=6, state_noise=noise))
+        assert run.config["state_noise"]["rng_seed"] == int(streams[stream])
+
+
 def test_qubo_rejects_amplitude_noise(image_path, tmp_path):
-    noise = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.1, rng_seed=0)
+    noise = StateNoiseConfig(mode="amplitude-perturbation", magnitude=0.1)
     with pytest.raises(PipelineConfigError):
         make_cfg(image_path, tmp_path, representation="qubo", state_noise=noise)
 

@@ -28,11 +28,6 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng, dim: int) -> np.ndarray:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (a + a.conj().T) / 2
-
-
 def random_density(rng, num_qubits: int) -> DensityMatrix:
     dim = 2**num_qubits
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -43,13 +38,6 @@ def random_density(rng, num_qubits: int) -> DensityMatrix:
 def random_gray_image(rng, n: int, q: int = 8) -> GrayImage:
     side = 2**n
     return GrayImage(pixels=rng.integers(0, 2**q, size=(side, side)), q=q)
-
-
-def bloch_angle_strategy():
-    return st.tuples(
-        st.floats(min_value=0.0, max_value=math.pi),
-        st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
-    )
 
 
 def qubit_strategy(min_component: float = 0.0):
