@@ -7,9 +7,10 @@ import json
 import sys
 from pathlib import Path
 
-from .metrics import matrix_report_json, write_grid_csv
+from .metrics import matrix_report_json
 from .noise import StateNoiseConfig
 from .pipeline import (
+    REPRESENTATIONS,
     ExperimentConfig,
     TomographySettings,
     register_cap,
@@ -17,9 +18,10 @@ from .pipeline import (
     run_pipeline,
     run_repr_compare,
     run_tomography_experiment,
+    write_tomography,
     _load_image,
 )
-from .tomography import format_record, purity
+from .tomography import purity
 
 _NOISE_MODES = {"amplitude": "amplitude-perturbation", "classical": "classical-pre-encode"}
 
@@ -40,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one encode/measure/decode pipeline")
     _add_common(run_p)
-    run_p.add_argument("--repr", required=True, choices=("frqi", "neqr", "qubo"))
+    run_p.add_argument("--repr", required=True, choices=REPRESENTATIONS)
     run_p.add_argument("--shots", type=int, default=0, help="register measurements, 0 = exact")
     run_p.add_argument("--plane", type=int, default=None, help="qubo bit plane (default MSB)")
     run_p.add_argument("--noise-mag", type=float, default=0.0, help="state-noise magnitude")
@@ -65,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tomo_p = sub.add_parser("tomography", help="tomography of a representation's probe register")
     _add_common(tomo_p)
-    tomo_p.add_argument("--repr", required=True, choices=("frqi", "neqr", "qubo"))
+    tomo_p.add_argument("--repr", required=True, choices=REPRESENTATIONS)
     tomo_p.add_argument("--qubits", type=int, default=2)
     tomo_p.add_argument("--shots", type=int, default=0, help="per observable, 0 = exact")
     return parser
@@ -97,7 +99,7 @@ def _cmd_run(args) -> int:
     print(f"decoded image: {run.decoded_path}")
     print(f"mae={run.image_report.mae!r} mse={run.image_report.mse!r} "
           f"psnr={run.image_report.psnr_display}")
-    if run.coverage.missing:
+    if len(run.coverage.missing):
         print(f"warning: {len(run.coverage.missing)} positions never observed")
     print(f"report: {Path(cfg.out_dir) / 'report.json'}")
     return 0
@@ -134,9 +136,7 @@ def _cmd_tomography(args) -> int:
     est, ideal, report = run_tomography_experiment(
         args.repr, img, args.qubits, args.shots, args.seed, register_cap()
     )
-    write_grid_csv(est.entries.real, out / "tomo_real.csv")
-    write_grid_csv(est.entries.imag, out / "tomo_imag.csv")
-    (out / "tomography.txt").write_text(format_record(est, ideal))
+    write_tomography(est, ideal, out)
     summary = {
         "representation": args.repr,
         "num_qubits": args.qubits,

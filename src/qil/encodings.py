@@ -109,30 +109,41 @@ class QuboState:
 
 @dataclass(frozen=True, eq=False)
 class ShotHistogram:
-    """Tally of basis outcomes over ``total`` destructive register measurements."""
+    """Observed basis ``outcomes`` (ascending) and their ``counts``, int64, over ``total`` shots."""
 
-    counts: dict[int, int]
+    outcomes: np.ndarray
+    counts: np.ndarray
     total: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
-        if any(c < 0 for c in self.counts.values()):
+        object.__setattr__(self, "outcomes", np.asarray(self.outcomes, dtype=np.int64))
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
+        if (self.counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        if sum(self.counts.values()) != self.total:
+        if self.counts.sum() != self.total:
             raise ValueError("counts must sum to the total shot number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageReport:
-    """Positions never observed during shot-based decoding (filled with 0)."""
+    """Positions never observed in shot decoding (filled with 0): (Y, X) rows of ``missing``."""
 
     total_positions: int
     observed_positions: int
-    missing: tuple[tuple[int, int], ...]
+    missing: np.ndarray
+
+    @classmethod
+    def of(cls, observed: np.ndarray) -> CoverageReport:
+        """Report for a boolean (side, side) mask of observed positions."""
+        return cls(
+            total_positions=observed.size,
+            observed_positions=int(observed.sum()),
+            missing=np.argwhere(~observed),
+        )
 
     @property
     def complete(self) -> bool:
-        return not self.missing
+        return self.observed_positions == self.total_positions
 
 
 def sample_histogram(s: StateVector, shots: int, seed: int) -> ShotHistogram:
@@ -144,8 +155,8 @@ def sample_histogram(s: StateVector, shots: int, seed: int) -> ShotHistogram:
     if shots < 1:
         raise ValueError("shots must be positive")
     support, drawn = _draw_counts(born_probabilities(s), shots, seed)
-    counts = {int(idx): int(c) for idx, c in zip(support, drawn) if c > 0}
-    return ShotHistogram(counts=counts, total=shots)
+    hit = drawn > 0
+    return ShotHistogram(outcomes=support[hit], counts=drawn[hit], total=shots)
 
 
 # ---------------------------------------------------------------------------
@@ -200,33 +211,21 @@ def frqi_decode_register(
         raise ValueError("register size does not match an FRQI layout")
     side = 2**n
     npos = side * side
-    levels = 2**q - 1
     if shots == 0:
-        a0 = np.abs(state.amplitudes[:npos])
-        a1 = np.abs(state.amplitudes[npos:])
+        a0, a1 = np.abs(state.amplitudes).reshape(2, npos)
         theta = np.arctan2(a1, a0)
-        grays = np.clip(np.rint(theta * levels / HALF_PI), 0, levels).astype(np.int64)
-        report = CoverageReport(total_positions=npos, observed_positions=npos, missing=())
-        return GrayImage(pixels=grays.reshape(side, side), q=q), report
-    hist = sample_histogram(state, shots, seed)
-    n0 = np.zeros(npos, dtype=np.int64)
-    n1 = np.zeros(npos, dtype=np.int64)
-    for idx, c in hist.counts.items():
-        if idx // npos == 0:
-            n0[idx] += c
-        else:
-            n1[idx - npos] += c
-    totals = n0 + n1
-    observed = totals > 0
-    p0 = np.divide(n0, totals, out=np.zeros(npos, dtype=float), where=observed)
-    theta = np.arccos(np.clip(np.sqrt(p0), 0.0, 1.0))
+        observed = np.ones(npos, dtype=bool)
+    else:
+        hist = sample_histogram(state, shots, seed)
+        n0, n1 = np.bincount(hist.outcomes, hist.counts, minlength=2 * npos).reshape(2, npos)
+        observed = n0 + n1 > 0
+        p0 = np.divide(n0, n0 + n1, out=np.zeros(npos), where=observed)
+        theta = np.arccos(np.clip(np.sqrt(p0), 0.0, 1.0))
+    levels = 2**q - 1
     grays = np.clip(np.rint(theta * levels / HALF_PI), 0, levels).astype(np.int64)
     grays[~observed] = 0
-    missing = tuple((int(i // side), int(i % side)) for i in np.flatnonzero(~observed))
-    report = CoverageReport(
-        total_positions=npos, observed_positions=int(observed.sum()), missing=missing
-    )
-    return GrayImage(pixels=grays.reshape(side, side), q=q), report
+    observed = observed.reshape(side, side)
+    return GrayImage(pixels=grays.reshape(side, side), q=q), CoverageReport.of(observed)
 
 
 def frqi_decode(fs: FrqiState, shots: int = 0, seed: int = 0):
@@ -263,28 +262,23 @@ def neqr_decode_register(
     side = 2**n
     npos = side * side
     if shots == 0:
-        table = np.abs(state.amplitudes.reshape(2**q, npos))
-        hits = table > TOL.neqr_hit
+        hits = np.abs(state.amplitudes.reshape(2**q, npos)) > TOL.neqr_hit
         if not (hits.sum(axis=0) == 1).all():
             raise NotNeqrStateError("some position has zero or several gray codes")
-        grays = np.argmax(hits, axis=0).astype(np.int64)
-        report = CoverageReport(total_positions=npos, observed_positions=npos, missing=())
-        return GrayImage(pixels=grays.reshape(side, side), q=q), report
-    hist = sample_histogram(state, shots, seed)
-    best_count = np.zeros(npos, dtype=np.int64)
-    grays = np.zeros(npos, dtype=np.int64)
-    seen = np.zeros(npos, dtype=bool)
-    for idx, c in sorted(hist.counts.items()):
-        code, pos = idx // npos, idx % npos
-        seen[pos] = True
-        if c > best_count[pos]:
-            best_count[pos] = c
-            grays[pos] = code
-    missing = tuple((int(i // side), int(i % side)) for i in np.flatnonzero(~seen))
-    report = CoverageReport(
-        total_positions=npos, observed_positions=int(seen.sum()), missing=missing
-    )
-    return GrayImage(pixels=grays.reshape(side, side), q=q), report
+        grays = np.argmax(hits, axis=0)
+        seen = np.ones(npos, dtype=bool)
+    else:
+        hist = sample_histogram(state, shots, seed)
+        code, pos = np.divmod(hist.outcomes, npos)
+        # per position: highest count first, ties toward the smaller code
+        order = np.lexsort((code, -hist.counts, pos))
+        code, pos = code[order], pos[order]
+        first = np.diff(pos, prepend=-1) != 0
+        grays = np.zeros(npos, dtype=np.int64)
+        grays[pos[first]] = code[first]
+        seen = np.bincount(pos, minlength=npos) > 0
+    seen = seen.reshape(side, side)
+    return GrayImage(pixels=grays.reshape(side, side), q=q), CoverageReport.of(seen)
 
 
 def neqr_decode(ns: NeqrState, shots: int = 0, seed: int = 0):

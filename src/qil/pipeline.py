@@ -181,7 +181,9 @@ class RunReport:
             "coverage": {
                 "total_positions": self.coverage.total_positions,
                 "observed_positions": self.coverage.observed_positions,
-                "missing": [list(pos) for pos in self.coverage.missing],
+                # (y, x) tuples, not lists: the garbage collector stops tracking
+                # a tuple of ints at its first pass, but would rescan ~10^5 lists
+                "missing": list(zip(*self.coverage.missing.T.tolist())),
             },
             "timings": self.timings,
         }
@@ -286,6 +288,13 @@ def run_tomography_experiment(
     return est, ideal, matrix_error(ideal, est)
 
 
+def write_tomography(est: DensityMatrix, ideal: DensityMatrix, out: Path) -> None:
+    """Write an estimate's tomo_real.csv, tomo_imag.csv and tomography.txt into ``out``."""
+    write_grid_csv(est.entries.real, out / "tomo_real.csv")
+    write_grid_csv(est.entries.imag, out / "tomo_imag.csv")
+    (out / "tomography.txt").write_text(format_record(est, ideal))
+
+
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     """Execute one configured experiment and write its outputs.
 
@@ -348,10 +357,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     else:
         decoded_bits = qubo_decode(qubo_state)
         decoded = decoded_bits.to_gray()
-        npos = 4**working.n
-        coverage = CoverageReport(
-            total_positions=npos, observed_positions=npos, missing=()
-        )
+        coverage = CoverageReport.of(np.ones(decoded.pixels.shape, dtype=bool))
     timings["decode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -378,9 +384,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
             seeds[3],
             cfg.max_qubits,
         )
-        write_grid_csv(est.entries.real, out / "tomo_real.csv")
-        write_grid_csv(est.entries.imag, out / "tomo_imag.csv")
-        (out / "tomography.txt").write_text(format_record(est, ideal))
+        write_tomography(est, ideal, out)
     timings["tomography"] = time.perf_counter() - t0
 
     run = RunReport(
@@ -392,7 +396,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         timings=timings,
     )
     _write_metrics_csv(out / "metrics.csv", [_metrics_row(cfg, img, run)])
-    (out / "report.json").write_text(json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(run.to_json(), sort_keys=True) + "\n")
     return run
 
 
@@ -462,6 +466,7 @@ def run_repr_compare(
     out.mkdir(parents=True, exist_ok=True)
     derived = _stage_seeds(seed)
     cap = register_cap()
+    img = _load_image(image_path, q)
     rows = []
     for rep, rep_seed in zip(REPRESENTATIONS, derived):
         cfg = ExperimentConfig(
@@ -475,14 +480,11 @@ def run_repr_compare(
                 num_qubits=tomo_qubits, shots_per_observable=tomo_shots
             ),
         )
-        run = run_pipeline(cfg)
-        img = _load_image(cfg.image_path, cfg.q)
-        rows.append(_metrics_row(cfg, img, run))
+        rows.append(_metrics_row(cfg, img, run_pipeline(cfg)))
     compare_path = out / "compare.csv"
     _write_metrics_csv(compare_path, rows)
 
     sweep_rows = []
-    img = _load_image(image_path, q)
     sweep_streams = np.random.SeedSequence(derived[3]).generate_state(
         sweep_max_qubits * len(REPRESENTATIONS)
     )

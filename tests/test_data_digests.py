@@ -28,6 +28,7 @@ from qil.images import GrayImage, write_pgm
 MANIFEST = Path(__file__).with_name("data_digests.json")
 
 _RUN = ["run", "--image", "{image}", "--seed", "7", "--shots", "2000"]
+_SPARSE = ["run", "--image", "{image}", "--seed", "7", "--shots", "40"]
 _TOMO = ["tomography", "--image", "{image}", "--seed", "5", "--qubits", "4", "--shots", "500"]
 
 COMMANDS = {
@@ -40,6 +41,10 @@ COMMANDS = {
     ],
     "run frqi classical noise": _RUN + [
         "--repr", "frqi", "--noise-mode", "classical", "--noise-mag", "0.1",
+    ],
+    "run frqi sparse": _SPARSE + ["--repr", "frqi"],
+    "run neqr sparse noise": _SPARSE + [
+        "--repr", "neqr", "--noise-mode", "amplitude", "--noise-mag", "0.05",
     ],
     "compare": ["compare", "--image", "{image}", "--seed", "3", "--shots", "2000"],
     "tomography frqi": _TOMO + ["--repr", "frqi"],

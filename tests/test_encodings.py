@@ -15,6 +15,7 @@ from qil.encodings import (
     frqi_encode,
     gray_to_theta,
     neqr_decode,
+    neqr_decode_register,
     neqr_encode,
     qubit_budget,
     qubo_decode,
@@ -22,7 +23,8 @@ from qil.encodings import (
     sample_histogram,
 )
 from qil.images import GrayImage
-from util import random_gray_image
+from qil.noise import StateNoiseConfig, inject_state_noise
+from util import neqr_shot_decode_reference, random_gray_image
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ def test_frqi_uncovered_positions_are_reported_and_zeroed(rng):
     img = random_gray_image(rng, 2)
     img = GrayImage(pixels=np.maximum(img.pixels, 1), q=8)  # keep 0 out of the data
     decoded, report = frqi_decode(frqi_encode(img), shots=3, seed=11)
-    assert report.missing
+    assert len(report.missing) == report.total_positions - report.observed_positions > 0
     assert not report.complete
     for y, x in report.missing:
         assert decoded.pixels[y, x] == 0
@@ -142,14 +144,32 @@ def test_neqr_partial_coverage_reports_missing(rng):
     img = random_gray_image(rng, 2)
     img = GrayImage(pixels=np.maximum(img.pixels, 1), q=8)
     decoded, report = neqr_decode(neqr_encode(img), shots=3, seed=2)
-    assert report.missing
+    assert len(report.missing) == report.total_positions - report.observed_positions > 0
     for y, x in report.missing:
         assert decoded.pixels[y, x] == 0
 
 
-def test_neqr_rejects_superposed_codes():
-    from qil.encodings import neqr_decode_register
+def test_neqr_shot_decode_matches_per_outcome_reference(rng):
+    # few shots over noisy registers with few codes: gaps and tied top counts
+    ties = 0
+    for seed in range(200):
+        n, q = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        noise = StateNoiseConfig("amplitude-perturbation", float(rng.uniform(0.05, 0.3)))
+        state = inject_state_noise(neqr_encode(random_gray_image(rng, n, q)).state, noise, seed)
+        shots = int(rng.integers(1, 61))
+        decoded, report = neqr_decode_register(state, n, q, shots=shots, seed=seed)
+        hist = sample_histogram(state, shots, seed)
+        pixels, missing = neqr_shot_decode_reference(hist, n)
+        np.testing.assert_array_equal(decoded.pixels, pixels)
+        assert [tuple(yx) for yx in report.missing.tolist()] == missing
+        pos = hist.outcomes % 4**n
+        top = np.zeros(4**n, dtype=np.int64)
+        np.maximum.at(top, pos, hist.counts)
+        ties += int((np.bincount(pos[hist.counts == top[pos]], minlength=4**n) > 1).sum())
+    assert ties > 0
 
+
+def test_neqr_rejects_superposed_codes():
     # indices (code*4 + pos): position 0 carries codes 0 and 1, position 3 none
     amps = np.zeros(2**10, dtype=complex)
     amps[[0, 4, 9, 14]] = 0.5
@@ -234,16 +254,19 @@ def test_histogram_counts_and_determinism(rng):
     s = StateVector.from_amplitudes([1 / math.sqrt(2), 1 / math.sqrt(2)])
     a = sample_histogram(s, shots=10**5, seed=40)
     b = sample_histogram(s, shots=10**5, seed=40)
-    assert a.counts == b.counts
-    assert sum(a.counts.values()) == 10**5
-    freq0 = a.counts.get(0, 0) / 10**5
+    np.testing.assert_array_equal(a.outcomes, b.outcomes)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert a.counts.sum() == 10**5
+    np.testing.assert_array_equal(a.outcomes, [0, 1])
+    freq0 = a.counts[0] / 10**5
     assert abs(freq0 - 0.5) < 3 * math.sqrt(0.25 / 10**5)
 
 
 def test_histogram_never_hits_zero_probability_outcomes():
     s = StateVector.basis(2, 2)
     h = sample_histogram(s, shots=1000, seed=1)
-    assert h.counts == {2: 1000}
+    np.testing.assert_array_equal(h.outcomes, [2])
+    np.testing.assert_array_equal(h.counts, [1000])
 
 
 # ---------------------------------------------------------------------------

@@ -60,3 +60,25 @@ def qubit_strategy(min_component: float = 0.0):
         st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
         st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
     ).map(build)
+
+
+def neqr_shot_decode_reference(hist, n: int):
+    """Per-outcome NEQR shot decode, kept as the reference for the array decoder.
+
+    Each position takes its most frequent code; ties go to the smaller code.
+    Returns the (side, side) pixels and the unobserved (Y, X) positions in
+    row-major order.
+    """
+    side = 2**n
+    npos = side * side
+    best_count = np.zeros(npos, dtype=np.int64)
+    grays = np.zeros(npos, dtype=np.int64)
+    seen = np.zeros(npos, dtype=bool)
+    for idx, c in sorted(zip(hist.outcomes.tolist(), hist.counts.tolist())):
+        code, pos = divmod(idx, npos)
+        seen[pos] = True
+        if c > best_count[pos]:
+            best_count[pos] = c
+            grays[pos] = code
+    missing = [(int(i // side), int(i % side)) for i in np.flatnonzero(~seen)]
+    return grays.reshape(side, side), missing
