@@ -114,11 +114,13 @@ def matrix_report_json(report: MatrixErrorReport) -> dict:
 
 
 def write_grid_csv(grid: np.ndarray, path) -> None:
-    """Write a 2-d numeric grid as bare CSV rows."""
+    """Write a 2-d numeric grid as bare CSV rows (floats by ``repr``)."""
+    grid = np.atleast_2d(grid)
+    # integer rows take one %-format each, about twice as fast as a str() per cell
+    line = ",".join(["%d"] * grid.shape[1]) + "\n" if grid.dtype.kind in "iu" else None
     with open(path, "w", newline="") as fh:
-        for row in np.atleast_2d(grid):
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row.tolist()))
-            fh.write("\n")
+        fh.writelines(line % tuple(row) if line else ",".join(map(repr, row)) + "\n"
+                      for row in map(np.ndarray.tolist, grid))
 
 
 def save_noise_map(grid: np.ndarray, q: int, csv_path, pgm_path) -> None:

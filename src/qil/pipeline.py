@@ -8,12 +8,14 @@ produce byte-identical data files (timings live only in report.json).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +32,15 @@ from .encodings import (
     qubo_decode,
     qubo_encode,
 )
-from .images import GrayImage, bit_plane, add_classical_noise, read_pgm, write_binary_pgm, write_pgm
+from .images import (
+    BinaryImage,
+    GrayImage,
+    add_classical_noise,
+    bit_plane,
+    read_pgm,
+    write_binary_pgm,
+    write_pgm,
+)
 from .metrics import (
     ImageErrorReport,
     MatrixErrorReport,
@@ -52,8 +62,6 @@ from .tomography import (
     linear_inversion,
     simulate_frequencies,
 )
-
-REPRESENTATIONS = ("frqi", "neqr", "qubo")
 
 #: Environment override for the register qubit cap.
 CAP_ENV_VAR = "QIL_MAX_QUBITS"
@@ -101,6 +109,88 @@ class TomographySettings:
 
 
 @dataclass(frozen=True)
+class Representation:
+    """One scheme's stages.
+
+    Each stage looks this module's names up when it runs, so that a wrapper set
+    on one of them (``frqi_encode``, ``write_pgm``, ...) sees every call.
+    ``cbs`` marks registers of computational-basis states: they have no qubit
+    cap and admit neither amplitude noise nor a unitary.
+    """
+
+    encode: Callable  # (image, plane, cap) -> register
+    decode: Callable  # (register, image, shots, seed) -> (image, coverage)
+    probe: Callable  # (image, k, cap) -> (ideal k-qubit probe, design)
+    reference: Callable = lambda img, plane: img  # what the decode is scored against
+    write: Callable = lambda decoded, path: write_pgm(decoded, path)  # decoded.pgm
+    cbs: bool = False
+
+
+def _angle_probe(img: GrayImage, k: int, cap: int):
+    parts = []
+    for g in np.resize(img.pixels, k).tolist():  # the first k pixels, cyclically
+        theta = gray_to_theta(g, img.q)
+        parts.append(StateVector(num_qubits=1, amplitudes=[math.cos(theta), math.sin(theta)]))
+    return density_from_pure(tensor(*parts)), TomographyDesign.full_pauli(k)
+
+
+def _traced_probe(img: GrayImage, k: int, cap: int):
+    reduced = reduced_density_matrix(neqr_encode(img, max_qubits=cap).state, list(range(k)))
+    return DensityMatrix.from_entries(reduced), TomographyDesign.full_pauli(k)
+
+
+def _msb_probe(img: GrayImage, k: int, cap: int):
+    bits = np.resize(img.pixels, k) >> (img.q - 1) & 1
+    index = int("".join(map(str, bits.tolist())), 2)
+    return density_from_pure(StateVector.basis(k, index)), TomographyDesign.cbs_diagonal(k)
+
+
+def _read_cbs(register, img: GrayImage, shots: int, seed: int):
+    decoded = qubo_decode(register).to_gray()
+    return decoded, CoverageReport.of(np.ones(decoded.pixels.shape, dtype=bool))
+
+
+#: Scheme name -> stages. The order is the compare driver's seed-stream order.
+REPRESENTATIONS = {
+    # probe: the product of the first k pixels' one-pixel angle encodings
+    "frqi": Representation(
+        encode=lambda img, plane, cap: frqi_encode(img, max_qubits=cap).state,
+        decode=lambda reg, img, shots, seed: frqi_decode_register(
+            reg, img.n, img.q, shots=shots, seed=seed
+        ),
+        probe=_angle_probe,
+    ),
+    # probe: the top k qubits of the full register, traced out
+    "neqr": Representation(
+        encode=lambda img, plane, cap: neqr_encode(img, max_qubits=cap).state,
+        decode=lambda reg, img, shots, seed: neqr_decode_register(
+            reg, img.n, img.q, shots=shots, seed=seed
+        ),
+        probe=_traced_probe,
+    ),
+    # one bit plane, scored against that plane and written as 0/255; probe: the
+    # first k pixels' most significant bits, measured in the diagonal design only
+    "qubo": Representation(
+        encode=lambda img, plane, cap: qubo_encode(img, plane),
+        decode=_read_cbs,
+        probe=_msb_probe,
+        reference=lambda img, plane: bit_plane(img, plane).to_gray(),
+        write=lambda decoded, path: write_binary_pgm(BinaryImage(bits=decoded.pixels), path),
+        cbs=True,
+    ),
+}
+
+
+def _representation(name: str) -> Representation:
+    try:
+        return REPRESENTATIONS[name]
+    except KeyError:
+        raise PipelineConfigError(
+            f"representation must be one of {tuple(REPRESENTATIONS)}, got {name!r}"
+        ) from None
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     representation: str
     image_path: str
@@ -115,50 +205,29 @@ class ExperimentConfig:
     max_qubits: int = field(default_factory=register_cap)
 
     def __post_init__(self):
-        if self.representation not in REPRESENTATIONS:
-            raise PipelineConfigError(
-                f"representation must be one of {REPRESENTATIONS}, got {self.representation!r}"
-            )
+        cbs = _representation(self.representation).cbs
+        noise = self.state_noise
         if self.shots < 0:
             raise PipelineConfigError("shots must be nonnegative (0 = exact)")
-        if self.representation == "qubo":
-            if self.unitary_path is not None:
-                raise PipelineConfigError(
-                    "qubo registers are per-pixel CBS qubits; only the identity algorithm applies"
-                )
-            if self.state_noise is not None and self.state_noise.mode == "amplitude-perturbation":
-                raise PipelineConfigError(
-                    "amplitude noise cannot be represented on CBS qubits; "
-                    "use classical-pre-encode noise for qubo"
-                )
+        if cbs and self.unitary_path is not None:
+            raise PipelineConfigError(
+                f"{self.representation} registers are per-pixel CBS qubits; "
+                "only the identity algorithm applies"
+            )
+        if cbs and noise is not None and noise.mode == "amplitude-perturbation":
+            raise PipelineConfigError(
+                "amplitude noise cannot be represented on CBS qubits; "
+                f"use classical-pre-encode noise for {self.representation}"
+            )
 
     def echo(self) -> dict:
-        noise = None
+        out = asdict(self)
+        for key in ("image_path", "out_dir", "unitary_path"):
+            if out[key] is not None:
+                out[key] = str(out[key])
         if self.state_noise is not None:
-            noise = {
-                "mode": self.state_noise.mode,
-                "magnitude": self.state_noise.magnitude,
-                "rng_seed": _noise_seed(self),
-            }
-        tomo = None
-        if self.tomography is not None:
-            tomo = {
-                "num_qubits": self.tomography.num_qubits,
-                "shots_per_observable": self.tomography.shots_per_observable,
-            }
-        return {
-            "representation": self.representation,
-            "image_path": str(self.image_path),
-            "out_dir": str(self.out_dir),
-            "shots": self.shots,
-            "seed": self.seed,
-            "q": self.q,
-            "plane": self.plane,
-            "unitary_path": None if self.unitary_path is None else str(self.unitary_path),
-            "state_noise": noise,
-            "tomography": tomo,
-            "max_qubits": self.max_qubits,
-        }
+            out["state_noise"]["rng_seed"] = _noise_seed(self)
+        return out
 
 
 @dataclass(frozen=True)
@@ -239,35 +308,13 @@ def tomography_register(
 ) -> tuple[DensityMatrix, TomographyDesign]:
     """Ideal k-qubit probe state and measurement design for a representation.
 
-    frqi: tensor product of the color qubits of the first k pixels (each a
-    one-pixel angle encoding), measured in the full Pauli design. neqr: the
-    top k qubits of the full register (partial trace), full Pauli design.
-    qubo: the CBS state of the first k pixels' most significant bits,
-    measured in the diagonal design only, since CBS registers never require
-    leaving the computational basis. ``max_qubits`` caps the neqr register
-    the probe is traced out of.
+    Each probe is described in ``REPRESENTATIONS``. CBS registers are probed in
+    the diagonal design only, since they never leave the computational basis.
+    ``max_qubits`` caps any register a probe is traced out of.
     """
-    if representation not in REPRESENTATIONS:
-        raise PipelineConfigError(f"unknown representation {representation!r}")
+    rep = _representation(representation)
     _check_probe_qubits(num_qubits)
-    flat = img.pixels.reshape(-1)
-    if representation == "frqi":
-        parts = []
-        for i in range(num_qubits):
-            theta = gray_to_theta(int(flat[i % flat.size]), img.q)
-            parts.append(
-                StateVector(num_qubits=1, amplitudes=[math.cos(theta), math.sin(theta)])
-            )
-        rho = density_from_pure(tensor(*parts))
-        return rho, TomographyDesign.full_pauli(num_qubits)
-    if representation == "neqr":
-        ns = neqr_encode(img, max_qubits=max_qubits)
-        reduced = reduced_density_matrix(ns.state, list(range(num_qubits)))
-        return DensityMatrix.from_entries(reduced), TomographyDesign.full_pauli(num_qubits)
-    bits = [(int(flat[i % flat.size]) >> (img.q - 1)) & 1 for i in range(num_qubits)]
-    index = int("".join(str(b) for b in bits), 2)
-    rho = density_from_pure(StateVector.basis(num_qubits, index))
-    return rho, TomographyDesign.cbs_diagonal(num_qubits)
+    return rep.probe(img, num_qubits, max_qubits)
 
 
 def run_tomography_experiment(
@@ -305,12 +352,13 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = _stage_seeds(cfg.seed)
+    rep = REPRESENTATIONS[cfg.representation]
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     img = _load_image(cfg.image_path, cfg.q)
     budget = qubit_budget(cfg.representation, img.n, img.q)
-    if cfg.representation in ("frqi", "neqr") and budget > cfg.max_qubits:
+    if not rep.cbs and budget > cfg.max_qubits:
         raise BudgetExceededError(
             f"{cfg.representation} needs {budget} qubits for this image, cap is {cfg.max_qubits}"
         )
@@ -321,21 +369,11 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 
     plane = (img.q - 1) if cfg.plane is None else cfg.plane
     t0 = time.perf_counter()
-    if cfg.representation == "frqi":
-        register = frqi_encode(working, max_qubits=cfg.max_qubits).state
-    elif cfg.representation == "neqr":
-        register = neqr_encode(working, max_qubits=cfg.max_qubits).state
-    else:
-        qubo_state = qubo_encode(working, plane)
-        register = None
+    register = rep.encode(working, plane, cfg.max_qubits)
     timings["encode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if (
-        register is not None
-        and cfg.state_noise is not None
-        and cfg.state_noise.mode == "amplitude-perturbation"
-    ):
+    if cfg.state_noise is not None and cfg.state_noise.mode == "amplitude-perturbation":
         register = inject_state_noise(register, cfg.state_noise, _noise_seed(cfg))
     timings["state_noise"] = time.perf_counter() - t0
 
@@ -346,28 +384,13 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     timings["algorithm"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if cfg.representation == "frqi":
-        decoded, coverage = frqi_decode_register(
-            register, working.n, working.q, shots=cfg.shots, seed=seeds[2]
-        )
-    elif cfg.representation == "neqr":
-        decoded, coverage = neqr_decode_register(
-            register, working.n, working.q, shots=cfg.shots, seed=seeds[2]
-        )
-    else:
-        decoded_bits = qubo_decode(qubo_state)
-        decoded = decoded_bits.to_gray()
-        coverage = CoverageReport.of(np.ones(decoded.pixels.shape, dtype=bool))
+    decoded, coverage = rep.decode(register, working, cfg.shots, seeds[2])
     timings["decode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     decoded_path = out / "decoded.pgm"
-    if cfg.representation == "qubo":
-        reference = bit_plane(img, plane).to_gray()
-        write_binary_pgm(decoded_bits, decoded_path)
-    else:
-        reference = img
-        write_pgm(decoded, decoded_path)
+    rep.write(decoded, decoded_path)
+    reference = rep.reference(img, plane)
     report = image_error(reference, decoded)
     diff = noise_map(reference, decoded)
     save_noise_map(diff, reference.q, out / "noise_map.csv", out / "noise_map.pgm")
@@ -395,28 +418,14 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         coverage=coverage,
         timings=timings,
     )
-    _write_metrics_csv(out / "metrics.csv", [_metrics_row(cfg, img, run)])
+    row = _metrics_row(cfg, img, run)
+    _write_csv(out / "metrics.csv", list(row), [row])
     (out / "report.json").write_text(json.dumps(run.to_json(), sort_keys=True) + "\n")
     return run
 
 
-_METRICS_FIELDS = [
-    "representation",
-    "n",
-    "q",
-    "shots",
-    "seed",
-    "mae",
-    "mse",
-    "psnr_db",
-    "max_pixel_error",
-    "positions_missing",
-    "tomo_max_pct_err_real",
-    "tomo_max_pct_err_imag",
-]
-
-
 def _metrics_row(cfg: ExperimentConfig, img: GrayImage, run: RunReport) -> dict:
+    """One metrics.csv / compare.csv row; its key order is the column order."""
     mr = run.matrix_report
     return {
         "representation": cfg.representation,
@@ -438,9 +447,9 @@ def _metrics_row(cfg: ExperimentConfig, img: GrayImage, run: RunReport) -> dict:
     }
 
 
-def _write_metrics_csv(path, rows) -> None:
+def _write_csv(path, fieldnames, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_METRICS_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -482,35 +491,29 @@ def run_repr_compare(
         )
         rows.append(_metrics_row(cfg, img, run_pipeline(cfg)))
     compare_path = out / "compare.csv"
-    _write_metrics_csv(compare_path, rows)
+    _write_csv(compare_path, list(rows[0]), rows)
 
     sweep_rows = []
     sweep_streams = np.random.SeedSequence(derived[3]).generate_state(
         sweep_max_qubits * len(REPRESENTATIONS)
     )
-    stream = 0
-    for k in range(1, sweep_max_qubits + 1):
-        for rep in REPRESENTATIONS:
-            _, _, mreport = run_tomography_experiment(
-                rep, img, k, tomo_shots, int(sweep_streams[stream]), cap
-            )
-            stream += 1
-            pct = mreport.max_percentage_error_real
-            sweep_rows.append(
-                {
-                    "representation": rep,
-                    "num_qubits": k,
-                    "shots_per_observable": tomo_shots,
-                    "max_pct_err_real": "" if pct is None else repr(pct),
-                }
-            )
-    with open(out / "qubit_sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["representation", "num_qubits", "shots_per_observable", "max_pct_err_real"],
+    sizes = itertools.product(range(1, sweep_max_qubits + 1), REPRESENTATIONS)
+    for (k, rep), rep_seed in zip(sizes, sweep_streams.tolist()):
+        _, _, mreport = run_tomography_experiment(rep, img, k, tomo_shots, rep_seed, cap)
+        pct = mreport.max_percentage_error_real
+        sweep_rows.append(
+            {
+                "representation": rep,
+                "num_qubits": k,
+                "shots_per_observable": tomo_shots,
+                "max_pct_err_real": "" if pct is None else repr(pct),
+            }
         )
-        writer.writeheader()
-        writer.writerows(sweep_rows)
+    _write_csv(
+        out / "qubit_sweep.csv",
+        ["representation", "num_qubits", "shots_per_observable", "max_pct_err_real"],
+        sweep_rows,
+    )
     return compare_path
 
 
@@ -521,24 +524,19 @@ def run_budget_report(n_values, q: int, out_dir, seed: int = 0) -> Path:
     rng = np.random.default_rng(seed)
     rows = []
     cap = register_cap()
-    for rep in REPRESENTATIONS:
+    for name, rep in REPRESENTATIONS.items():
         for n in n_values:
-            budget = qubit_budget(rep, n, q)
+            budget = qubit_budget(name, n, q)
             side = 2**n
             img = GrayImage(pixels=rng.integers(0, 2**q, size=(side, side)), q=q)
             timer = math.inf
             for _ in range(3):
                 t0 = time.perf_counter()
-                if rep == "frqi":
-                    frqi_encode(img, max_qubits=cap)
-                elif rep == "neqr":
-                    neqr_encode(img, max_qubits=cap)
-                else:
-                    qubo_encode(img)
+                rep.encode(img, q - 1, cap)
                 timer = min(timer, time.perf_counter() - t0)
             rows.append(
                 {
-                    "representation": rep,
+                    "representation": name,
                     "n": n,
                     "q": q,
                     "qubits": budget,
@@ -546,11 +544,5 @@ def run_budget_report(n_values, q: int, out_dir, seed: int = 0) -> Path:
                 }
             )
     path = out / "budget.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["representation", "n", "q", "qubits", "encode_seconds"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, ["representation", "n", "q", "qubits", "encode_seconds"], rows)
     return path

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import qil.pipeline as pipeline
 from qil.core import UnitaryMatrix
+from qil.encodings import REGISTER_CAP, QuboState, qubit_budget
 from qil.images import GrayImage, read_pgm, write_pgm
 from qil.noise import StateNoiseConfig
 from qil.pipeline import (
+    REPRESENTATIONS,
     BudgetExceededError,
     ExperimentConfig,
     PipelineConfigError,
@@ -139,6 +142,52 @@ def test_qubo_rejects_amplitude_noise(image_path, tmp_path):
 def test_qubo_rejects_unitary(image_path, tmp_path):
     with pytest.raises(PipelineConfigError):
         make_cfg(image_path, tmp_path, representation="qubo", unitary_path="u.csv")
+
+
+# ---------------------------------------------------------------------------
+# the representation table
+
+
+def test_table_order_is_the_compare_and_cli_order():
+    assert list(REPRESENTATIONS) == ["frqi", "neqr", "qubo"]
+
+
+def test_stages_look_encoders_and_decoders_up_at_run_time(image_path, tmp_path, monkeypatch):
+    # a wrapper set on the module attribute (as a tracer does) must see every call
+    calls = []
+    for name in ("frqi_encode", "frqi_decode_register", "qubo_decode"):
+        def spy(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            calls.append((_name, args, kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    run_pipeline(make_cfg(image_path, tmp_path / "frqi", shots=100))
+    run_pipeline(make_cfg(image_path, tmp_path / "qubo", representation="qubo"))
+    assert [name for name, _, _ in calls] == ["frqi_encode", "frqi_decode_register", "qubo_decode"]
+    _, args, kwargs = calls[1]
+    assert args[1] == 3 and kwargs["shots"] == 100  # n positional, shots by keyword
+
+
+def test_unknown_representation_is_a_config_error(image_path, tmp_path):
+    img = read_pgm(image_path)
+    with pytest.raises(PipelineConfigError, match="bogus"):
+        make_cfg(image_path, tmp_path, representation="bogus")
+    with pytest.raises(PipelineConfigError, match="bogus"):
+        tomography_register("bogus", img, 2)
+    with pytest.raises(PipelineConfigError, match="bogus"):
+        run_tomography_experiment("bogus", img, 2, 0, 0)
+
+
+@pytest.mark.parametrize("name", list(REPRESENTATIONS))
+def test_budget_is_the_size_of_the_encoded_register(name, rng):
+    for n, q in ((0, 1), (1, 3), (3, 8)):
+        img = random_gray_image(rng, n, q)
+        register = REPRESENTATIONS[name].encode(img, q - 1, REGISTER_CAP)
+        if isinstance(register, QuboState):
+            size = register.qubits[..., 0].size
+        else:
+            size = register.num_qubits
+        assert qubit_budget(name, n, q) == size
 
 
 # ---------------------------------------------------------------------------
