@@ -77,6 +77,8 @@ def _cmd_run(args) -> int:
     noise = None
     if args.noise_mag > 0.0:
         noise = StateNoiseConfig(mode=_NOISE_MODES[args.noise_mode], magnitude=args.noise_mag)
+    if args.tomo_shots is not None and args.tomo_qubits is None:
+        raise ValueError("--tomo-shots needs --tomo-qubits")
     tomo = None
     if args.tomo_qubits is not None:
         tomo = TomographySettings(

@@ -145,66 +145,21 @@ class UnitaryMatrix:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOperator:
-    """Orthogonal projector labelled by its outcome index."""
+    """Projector |m><m| of computational-basis outcome ``index``."""
 
     index: int
     matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_matrix(self.matrix))
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > TOL.projector:
-            raise ValueError(f"measurement operator {self.index} is not Hermitian")
-        if np.abs(m @ m - m).max() > TOL.projector:
-            raise ValueError(f"measurement operator {self.index} is not idempotent")
-        if float(np.linalg.eigvalsh(m).min()) < -TOL.projector:
-            raise ValueError(f"measurement operator {self.index} is not positive semidefinite")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSet:
-    """Complete set of mutually orthogonal projectors."""
-
-    operators: tuple[MeasurementOperator, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(self.operators))
-        if not self.operators:
-            raise ValueError("measurement set must contain at least one operator")
-        dim = self.operators[0].dim
-        if any(op.dim != dim for op in self.operators):
-            raise ValueError("all measurement operators must share one dimension")
-        total = sum(op.matrix.conj().T @ op.matrix for op in self.operators)
-        if np.abs(total - np.eye(dim)).max() > TOL.completeness:
-            raise ValueError("measurement set violates completeness")
-        plain_sum = sum(op.matrix for op in self.operators)
-        if np.abs(plain_sum - np.eye(dim)).max() > TOL.completeness:
-            raise ValueError("measurement operators do not sum to the identity")
-        for i, a in enumerate(self.operators):
-            for b in self.operators[i + 1 :]:
-                if np.abs(a.matrix.conj().T @ b.matrix).max() > TOL.orthogonality:
-                    raise ValueError(
-                        f"measurement operators {a.index} and {b.index} are not orthogonal"
-                    )
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].dim
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-    @staticmethod
-    def cbs(num_qubits: int) -> "BasisMeasurement":
-        return _cbs_measurement_set(num_qubits)
-
-
 @dataclass(frozen=True)
-class BasisMeasurement:
+class MeasurementSet:
     """Computational-basis measurement of ``num_qubits`` qubits, held by its diagonal.
 
     Outcome m is the projector |m><m|, so p(m) = |psi_m|^2 and the collapse
@@ -234,10 +189,14 @@ class BasisMeasurement:
             ops.append(MeasurementOperator(index=m, matrix=mat))
         return tuple(ops)
 
+    @staticmethod
+    def cbs(num_qubits: int) -> "MeasurementSet":
+        return _cbs_measurement_set(num_qubits)
+
 
 @lru_cache(maxsize=None)
-def _cbs_measurement_set(num_qubits: int) -> BasisMeasurement:
-    return BasisMeasurement(num_qubits)
+def _cbs_measurement_set(num_qubits: int) -> MeasurementSet:
+    return MeasurementSet(num_qubits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,23 +237,11 @@ def apply_unitary(u: UnitaryMatrix, s: StateVector) -> StateVector:
     return StateVector(num_qubits=s.num_qubits, amplitudes=u.entries @ s.amplitudes)
 
 
-def _outcome_weights(mset: MeasurementSet | BasisMeasurement, s: StateVector) -> np.ndarray:
-    """<psi| M_m^dag M_m |psi> per outcome; |psi_m|^2 for a basis measurement."""
-    if isinstance(mset, BasisMeasurement):
-        return born_probabilities(s)
-    psi = s.amplitudes
-    return np.array(
-        [np.vdot(psi, op.matrix.conj().T @ (op.matrix @ psi)).real for op in mset.operators]
-    )
-
-
-def outcome_probabilities(
-    mset: MeasurementSet | BasisMeasurement, s: StateVector
-) -> OutcomeDistribution:
-    """Born probabilities p(m) = <psi| M_m^dag M_m |psi> for every outcome."""
+def outcome_probabilities(mset: MeasurementSet, s: StateVector) -> OutcomeDistribution:
+    """Born probabilities p(m) = <psi| M_m^dag M_m |psi> = |psi_m|^2 for every outcome."""
     if mset.dim != s.dim:
         raise ValueError(f"measurement dim {mset.dim} does not match register dim {s.dim}")
-    return OutcomeDistribution(probabilities=_outcome_weights(mset, s))
+    return OutcomeDistribution(probabilities=born_probabilities(s))
 
 
 def collapse(op: MeasurementOperator, s: StateVector) -> StateVector:
@@ -344,7 +291,7 @@ def _draw_counts(p: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.n
 
 
 def sample_measurement(
-    mset: MeasurementSet | BasisMeasurement, s: StateVector, rng_seed: int
+    mset: MeasurementSet, s: StateVector, rng_seed: int
 ) -> tuple[int, StateVector]:
     """Draw one outcome from the Born distribution and collapse accordingly.
 
@@ -354,9 +301,7 @@ def sample_measurement(
     dist = outcome_probabilities(mset, s)
     support, drawn = _draw_counts(dist.probabilities, 1, rng_seed)
     outcome = int(support[drawn.argmax()])
-    if isinstance(mset, BasisMeasurement):
-        return outcome, collapse_to_basis(outcome, s)
-    return outcome, collapse(mset.operators[outcome], s)
+    return outcome, collapse_to_basis(outcome, s)
 
 
 def born_probabilities(s: StateVector) -> np.ndarray:

@@ -321,11 +321,10 @@ def qubit_budget(representation: str, n: int, q: int) -> int:
         raise ValueError("n must be nonnegative")
     if q < 1:
         raise ValueError("q must be at least 1")
-    rep = representation.lower()
-    if rep == "frqi":
+    if representation == "frqi":
         return 2 * n + 1
-    if rep == "neqr":
+    if representation == "neqr":
         return q + 2 * n
-    if rep == "qubo":
+    if representation == "qubo":
         return 4**n
     raise ValueError(f"unknown representation {representation!r}")

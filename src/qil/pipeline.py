@@ -214,6 +214,10 @@ class ExperimentConfig:
                 f"{self.representation} registers are per-pixel CBS qubits; "
                 "only the identity algorithm applies"
             )
+        if not cbs and self.plane is not None:
+            raise PipelineConfigError(
+                f"{self.representation} encodes every bit plane; plane applies to qubo only"
+            )
         if cbs and noise is not None and noise.mode == "amplitude-perturbation":
             raise PipelineConfigError(
                 "amplitude noise cannot be represented on CBS qubits; "

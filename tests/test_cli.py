@@ -120,3 +120,23 @@ def test_compare_rejects_empty_sweep_before_any_run(image_path, tmp_path, capsys
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("qil: error: sweep_max_qubits must be between")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rep", ["frqi", "neqr"])
+def test_plane_rejected_outside_qubo(image_path, tmp_path, capsys, rep):
+    out = tmp_path / "plane"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--image", image_path, "--repr", rep, "--plane", "99", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"qil: error: {rep} encodes every bit plane")
+    assert not out.exists()
+
+
+def test_tomo_shots_without_tomo_qubits_exits(image_path, tmp_path, capsys):
+    out = tmp_path / "tomo"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--image", image_path, "--repr", "neqr", "--tomo-shots", "50",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("qil: error: --tomo-shots needs --tomo-qubits")
+    assert not out.exists()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qil import core
 from qil.core import (
     BlochAngles,
-    MeasurementOperator,
     MeasurementSet,
     Qubit,
     StateVector,
@@ -202,12 +201,6 @@ def test_measurement_set_axioms_on_cbs():
                 assert np.abs(a.matrix.conj().T @ b.matrix).max() < TOL.orthogonality
 
 
-def test_incomplete_measurement_set_rejected():
-    op = MeasurementOperator(index=0, matrix=np.diag([1.0, 0.0]).astype(complex))
-    with pytest.raises(ValueError):
-        MeasurementSet(operators=(op,))
-
-
 def test_sample_measurement_degenerate_state_always_zero():
     s = StateVector.basis(1, 0)
     for seed in (0, 1, 17, 987654321):
@@ -228,23 +221,37 @@ def test_sample_measurement_frequency_matches_born_rule():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_cbs_set_matches_dense_projectors(k):
     rng = np.random.default_rng(100 + k)
-    eye = np.eye(2**k)
-    dense = MeasurementSet(
-        operators=tuple(MeasurementOperator(m, np.diag(eye[m])) for m in range(2**k))
-    )
+    dense = MeasurementSet(k).operators
     cbs = MeasurementSet.cbs(k)
     for _ in range(5):
         s = random_state(rng, k)
-        np.testing.assert_allclose(
-            outcome_probabilities(cbs, s).probabilities,
-            outcome_probabilities(dense, s).probabilities,
-            rtol=0, atol=1e-12,
+        psi = s.amplitudes
+        weights = np.array(
+            [np.vdot(psi, op.matrix.conj().T @ (op.matrix @ psi)).real for op in dense]
         )
+        np.testing.assert_allclose(
+            outcome_probabilities(cbs, s).probabilities, weights, rtol=0, atol=1e-12
+        )
+        support = np.flatnonzero(weights > 0)
         for seed in range(10):
             outcome, post = sample_measurement(cbs, s, rng_seed=seed)
-            ref_outcome, ref_post = sample_measurement(dense, s, rng_seed=seed)
+            drawn = np.random.default_rng(seed).multinomial(1, weights[support] / weights.sum())
+            ref_outcome = int(support[drawn.argmax()])
+            ref_post = collapse(dense[ref_outcome], s)
             assert outcome == ref_outcome
             np.testing.assert_allclose(post.amplitudes, ref_post.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_cbs_cache_is_cold_after_clear():
+    warm = MeasurementSet.cbs(3)
+    assert MeasurementSet.cbs(3) is warm
+    core._cbs_measurement_set.cache_clear()
+    assert MeasurementSet.cbs(3) is not warm
+
+
+def test_negative_register_size_rejected():
+    with pytest.raises(ValueError):
+        MeasurementSet(-1)
 
 
 def test_cbs_measurement_never_builds_projectors(rng):

@@ -231,6 +231,12 @@ def test_budget_reference_values(rep, n, q, expected):
     assert qubit_budget(rep, n, q) == expected
 
 
+@pytest.mark.parametrize("rep", ["FRQI", "Neqr", "bogus"])
+def test_budget_rejects_unknown_scheme_names(rep):
+    with pytest.raises(ValueError, match="unknown representation"):
+        qubit_budget(rep, 3, 8)
+
+
 def test_budget_formulas_over_grid():
     for n in range(7):
         for q in (1, 8):
